@@ -2,6 +2,7 @@
 
 import csv
 import json
+from pathlib import Path
 
 import pytest
 
@@ -133,11 +134,10 @@ def test_io_error_exits_three(tmp_path):
 
 
 def test_fast_verify_suites_pass(capsys):
-    assert cli.main(["verify", "splits", "kl", "wrapper", "walk"]) == 0
-    out = capsys.readouterr().out
-    assert "[pass]" in out
-    assert "[FAIL]" not in out
-    assert out.count("suite ") == 4
+    # all six suites; the report is pinned byte for byte
+    assert cli.main(["verify"]) == 0
+    golden = Path(__file__).parent / "golden" / "verify.txt"
+    assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
 def test_analyze_emits_fit_json(tmp_path, capsys):
