@@ -18,8 +18,6 @@ import os
 import sys
 import time
 
-import numpy as np
-
 from delaybandits import analysis, cli
 
 
@@ -29,22 +27,6 @@ PAIRINGS = {
     "unbatched": dict(adversary="paritytrap", delay="parity",
                       learner="exp3", memory_bound=1, metric="pseudo_regret"),
 }
-
-
-def bootstrap_ci(groups, resamples, rng):
-    alphas = []
-    for _ in range(resamples):
-        pts = []
-        for t, vs in sorted(groups.items()):
-            picks = rng.integers(0, len(vs), size=len(vs))
-            pts.append((t, float(np.mean([vs[i] for i in picks]))))
-        try:
-            alphas.append(analysis.fit_exponent(pts).exponent)
-        except ValueError:
-            continue
-    if not alphas:
-        return None
-    return float(np.percentile(alphas, 5)), float(np.percentile(alphas, 95))
 
 
 def run_pairing(name, args):
@@ -64,10 +46,8 @@ def run_pairing(name, args):
     out = os.path.join(args.out_dir, f"{name}.csv")
     cli.write_rows(out, rows)
 
-    groups = {}
-    for row in rows:
-        groups.setdefault(int(row["T"]), []).append(float(row[metric]))
-    points = [(t, float(np.mean(vs))) for t, vs in sorted(groups.items())]
+    groups = analysis.horizon_groups(rows, metric)
+    points = analysis.horizon_means(groups)
     fit = analysis.fit_exponent(points)
 
     print(f"pairing={name}  {conf['adversary']}+{conf['delay']}  "
@@ -77,7 +57,7 @@ def run_pairing(name, args):
         print(f"  {t:>8}  {v:>20.4f}")
     line = f"  alpha={fit.exponent:.4f}  r2={fit.r_squared:.4f}"
     if args.bootstrap > 0:
-        ci = bootstrap_ci(groups, args.bootstrap, np.random.default_rng(0))
+        ci = analysis.bootstrap_exponent_ci(groups, args.bootstrap)
         if ci is not None:
             line += f"  ci90=[{ci[0]:.4f}, {ci[1]:.4f}]"
     print(line)

@@ -1,7 +1,7 @@
 """Simulation and verification toolkit for bandit games whose feedback
 arrives as anonymous sums of delayed loss components.
 
-The package has four layers:
+The package has five layers:
 
 - :mod:`delaybandits.core` runs the game loop and computes exact policy
   and pseudo regret by counterfactual replay of recorded transcripts.
@@ -14,6 +14,9 @@ The package has four layers:
 - :mod:`delaybandits.analysis` holds the numeric certificates: censored
   Gaussian KL, total-variation budgets, scaling-law fits, and the delay
   accounting audit.
+- :mod:`delaybandits.checks` states each invariant of the constructions
+  once, parameterized by scale and seeds; ``delaybandits verify`` runs it
+  small and the acceptance tests run it at full scale.
 
 All randomness is derived from named child streams of a single master
 seed, so every run, sweep, and figure is reproducible bit for bit.

@@ -23,8 +23,7 @@ the carry dynamics.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -42,20 +41,8 @@ LOSS_FLOOR = 0.5
 LOSS_CEIL = 1.0
 
 
-def trunc(x: float, lo: float = LOSS_FLOOR, hi: float = LOSS_CEIL) -> float:
-    """Clamp x into [lo, hi]."""
-    return lo if x < lo else hi if x > hi else x
-
-
 # ---------------------------------------------------------------------------
 # multi-scale random walk
-
-
-def dyadic_valuation(t: int) -> int:
-    """Exponent of the largest power of two dividing t (t >= 1)."""
-    if t < 1:
-        raise ValueError("t must be >= 1")
-    return ((t & -t).bit_length()) - 1
 
 
 def walk_parent(t: int) -> int:
@@ -65,21 +52,8 @@ def walk_parent(t: int) -> int:
     return t - (t & -t)
 
 
-@dataclass(frozen=True)
-class ParentFunction:
-    """A parent rule t -> rho(t) with 0 <= rho(t) < t."""
-
-    rule: Callable[[int], int]
-
-    def __call__(self, t: int) -> int:
-        return self.rule(t)
-
-
-MULTISCALE = ParentFunction(walk_parent)
-
-
-def width(parent_rule, horizon: int) -> int:
-    """Maximum cut size of a parent rule over rounds 1..horizon.
+def width(rule, horizon: int) -> int:
+    """Maximum cut size of a parent rule t -> rho(t) over rounds 1..horizon.
 
     The cut at round t is {s in [T] : rho(s) <= t < s}, the set of rounds
     whose parent link straddles t.  Conditional observation arguments pay
@@ -88,7 +62,6 @@ def width(parent_rule, horizon: int) -> int:
     """
     if horizon < 1:
         raise ValueError("horizon must be >= 1")
-    rule = parent_rule.rule if isinstance(parent_rule, ParentFunction) else parent_rule
     s = np.arange(1, horizon + 1, dtype=np.int64)
     if rule is walk_parent:
         parents = s - (s & -s)
@@ -275,16 +248,17 @@ class GapWalkLoss:
         return cls(walk, arm_count, best, gap)
 
     def arm_loss(self, t: int, arm) -> float:
-        base = self.walk.value(t) + 0.75
-        if arm == self.best_arm:
-            base -= self.gap
-        return LOSS_FLOOR if base < LOSS_FLOOR else LOSS_CEIL if base > LOSS_CEIL else base
+        return self.masked_baseline(t, arm == self.best_arm)
 
     def loss(self, t: int, actions: Sequence) -> float:
-        return self.arm_loss(t, actions[t - 1])
+        return self.masked_baseline(t, actions[t - 1] == self.best_arm)
 
     def masked_baseline(self, t: int, low: bool) -> float:
-        """Truncated walk value the masking delay exposes in each state."""
+        """Truncated walk value, less the gap when ``low``.
+
+        This is the baseline the masking delay exposes in each state, and
+        also every arm's loss: the hidden arm's is the low one.
+        """
         base = self.walk.value(t) + 0.75
         if low:
             base -= self.gap
@@ -332,9 +306,8 @@ class DelayStateMachine:
 
     delay_span = 2
 
-    def __init__(self, loss: GapWalkLoss, record_per_arm: bool = False):
+    def __init__(self, loss: GapWalkLoss):
         self.loss_adversary = loss
-        self.record_per_arm = bool(record_per_arm)
         self._low = False
         self.carry = 0.0
         self.switch_count = 0
@@ -345,12 +318,7 @@ class DelayStateMachine:
         gap = loss.gap
         if loss.best_arm is None:
             self._last = DsmStep(False, 0.0)
-            per_arm = None
-            if self.record_per_arm:
-                per_arm = tuple(
-                    (loss.arm_loss(t, a), 0.0) for a in range(loss.arm_count)
-                )
-            return LossSplit(t, (loss_value, 0.0), loss_value, per_arm)
+            return LossSplit(t, (loss_value, 0.0), loss_value)
 
         carry = self.carry
         if self._low:
@@ -365,13 +333,7 @@ class DelayStateMachine:
         held = loss_value - immediate
         self.carry = held
         self._last = DsmStep(self._low, held)
-        per_arm = None
-        if self.record_per_arm:
-            per_arm = tuple(
-                (immediate, loss.arm_loss(t, a) - immediate)
-                for a in range(loss.arm_count)
-            )
-        return LossSplit(t, (immediate, held), loss_value, per_arm)
+        return LossSplit(t, (immediate, held), loss_value)
 
     def round_info(self) -> DsmStep:
         return self._last

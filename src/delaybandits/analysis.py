@@ -227,6 +227,44 @@ def fit_exponent(points: Sequence) -> ScalingFit:
     )
 
 
+def horizon_groups(rows, metric: str) -> dict:
+    """Values of ``metric`` per horizon ``T``, from result rows as the CLI
+    writes or reads them (numbers may be strings)."""
+    groups: dict = {}
+    for row in rows:
+        groups.setdefault(int(row["T"]), []).append(float(row[metric]))
+    return groups
+
+
+def horizon_means(groups: dict) -> list:
+    """(horizon, mean value) points of :func:`horizon_groups` output,
+    horizons ascending."""
+    return [(t, float(np.mean(vs))) for t, vs in sorted(groups.items())]
+
+
+def bootstrap_exponent_ci(groups: dict, resamples: int) -> Optional[tuple]:
+    """90 % bootstrap interval (5th, 95th percentile) of the fitted exponent.
+
+    Each resample redraws the runs within every horizon with replacement
+    from ``default_rng(0)``.  Resamples the fit rejects (an all-zero
+    horizon) are skipped; None when every one is.
+    """
+    rng = np.random.default_rng(0)
+    alphas = []
+    for _ in range(resamples):
+        resampled = {
+            t: [vs[i] for i in rng.integers(0, len(vs), size=len(vs))]
+            for t, vs in sorted(groups.items())
+        }
+        try:
+            alphas.append(fit_exponent(horizon_means(resampled)).exponent)
+        except ValueError:
+            continue
+    if not alphas:
+        return None
+    return float(np.percentile(alphas, 5)), float(np.percentile(alphas, 95))
+
+
 # ---------------------------------------------------------------------------
 # delay accounting audit
 

@@ -20,16 +20,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import adversaries as adv
 from . import analysis
+from . import checks
 from . import core
 from . import learners as lrn
 from .seeding import LEARNER_STREAM, run_seed, substream
@@ -43,7 +41,6 @@ CSV_COLUMNS = (
 ADVERSARIES = ("constant", "iid", "paritytrap", "gapwalk")
 DELAYS = ("none", "parity", "statemachine", "lastslot")
 LEARNERS = ("uniform", "exp3", "wrapper-exp3")
-SUITES = ("splits", "thm1", "lowerbound", "walk", "kl", "wrapper")
 
 DEFAULT_SWEEP_HORIZONS = tuple(2 ** k for k in range(10, 17))
 
@@ -111,6 +108,11 @@ class ExperimentSpec:
             raise UsageError("--delay statemachine requires --adversary gapwalk")
         if self.delay == "parity" and self.adversary != "paritytrap":
             raise UsageError("--delay parity requires --adversary paritytrap")
+        if self.delay != "lastslot" and self.delay_span != 0:
+            raise UsageError(f"--delay {self.delay} fixes its own span; "
+                             "--d applies to --delay lastslot only")
+        if self.delay == "lastslot" and self.delay_span == 1:
+            raise UsageError("--delay lastslot needs --d >= 2 (0 = 2)")
         if self.adversary == "gapwalk" and (self.gap == 0.0 or self.sigma == 0.0):
             if any(t < 3 for t in self.horizons):
                 raise UsageError("gapwalk default schedules need T >= 3")
@@ -140,7 +142,7 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
     elif spec.delay == "statemachine":
         delay = adv.DelayStateMachine(loss)
     else:
-        delay = adv.LastSlotDelay(spec.delay_span if spec.delay_span >= 2 else 2)
+        delay = adv.LastSlotDelay(spec.delay_span or 2)
 
     rng = substream(master_seed, LEARNER_STREAM)
     if spec.learner == "uniform":
@@ -236,226 +238,6 @@ def read_rows(path: str) -> list:
 
 
 # ---------------------------------------------------------------------------
-# verification suites
-
-
-def _check(lines, ok: bool, label: str) -> bool:
-    lines.append(f"[{'pass' if ok else 'FAIL'}] {label}")
-    return ok
-
-
-def _suite_splits() -> tuple:
-    """Split validity and buffer conservation on randomized runs."""
-    lines, ok = [], True
-    horizon = 512
-    for d in (1, 2, 4):
-        spec_seed = 1000 + d
-        loss = adv.TableLoss.from_seed(3, horizon, spec_seed)
-        delay = adv.SeededSplitDelay(d, horizon, spec_seed)
-        config = core.GameConfig(horizon, core.Discrete(3), d, 0, spec_seed)
-        learner = lrn.UniformRandomLearner(3, substream(spec_seed, LEARNER_STREAM))
-        tr = core.run_game(config, learner, loss, delay)
-        recon_ok = True
-        for t in range(1, horizon + 1):
-            due = math.fsum(
-                tr.splits[t - 1 - s].components[s]
-                for s in range(d)
-                if t - s >= 1
-            )
-            if abs(due - tr.observed[t - 1]) > 1e-9:
-                recon_ok = False
-                break
-        ok &= _check(lines, recon_ok, f"d={d}: observed losses reconstruct from scheduled components")
-        gap = math.fsum(tr.true_losses) - math.fsum(tr.observed)
-        ok &= _check(lines, -1e-9 <= gap <= d - 1 + 1e-9,
-                     f"d={d}: unobserved mass {gap:.6f} within [0, {d - 1}]")
-    bad = core.LossSplit(1, (0.4, 0.4), 0.5)
-    try:
-        core.validate_split(bad, 2)
-        ok &= _check(lines, False, "overfull split rejected")
-    except core.SplitError:
-        ok &= _check(lines, True, "overfull split rejected")
-    return ok, lines
-
-
-def _forced_observation_ok(transcript) -> bool:
-    for t, obs in enumerate(transcript.observed, start=1):
-        if obs != (0.0 if t & 1 else 1.0):
-            return False
-    return True
-
-
-def _suite_parity_trap() -> tuple:
-    """The parity trap leaks nothing: observations are forced."""
-    lines, ok = [], True
-    horizon = 10_000
-    for best in (0, 1):
-        loss = adv.ParityTrapLoss(best)
-        forced = True
-        for rep in range(100):
-            seed = run_seed(77, rep)
-            config = core.GameConfig(horizon, core.Discrete(2), 2, 1, seed)
-            learner = lrn.UniformRandomLearner(2, substream(seed, LEARNER_STREAM))
-            tr = core.run_game(config, learner, loss, adv.ParityDelay())
-            if not _forced_observation_ok(tr):
-                forced = False
-                break
-        ok &= _check(lines, forced,
-                     f"hidden arm {best}: 100 random policies observe 0,1,0,1,... at T={horizon}")
-    t_small = 8
-    exhaustive = True
-    for best in (0, 1):
-        loss = adv.ParityTrapLoss(best)
-        for code in range(2 ** t_small):
-            actions = [(code >> i) & 1 for i in range(t_small)]
-            config = core.GameConfig(t_small, core.Discrete(2), 2, 1, 0)
-            tr = core.run_game(config, lrn.ScriptedLearner(actions), loss, adv.ParityDelay())
-            if not _forced_observation_ok(tr):
-                exhaustive = False
-    ok &= _check(lines, exhaustive,
-                 f"all {2 ** t_small} deterministic action sequences at T={t_small} observe the same stream")
-    return ok, lines
-
-
-def _suite_lowerbound() -> tuple:
-    """Carry, masking, and switch-budget invariants of the walk adversary."""
-    lines, ok = [], True
-    horizon = 2 ** 14
-    k = 2
-    gap, sigma = adv.gap_walk_defaults(k, horizon)
-    carries_ok = masked_ok = switches_ok = True
-    saw_hidden = saw_none = False
-    for rep in range(10):
-        master = run_seed(31, rep)
-        loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, master)
-        delay = adv.DelayStateMachine(loss)
-        config = core.GameConfig(horizon, core.Discrete(k), 2, 0, master)
-        learner = lrn.UniformRandomLearner(k, substream(master, LEARNER_STREAM))
-        tr = core.run_game(config, learner, loss, delay)
-        for t, (step, obs) in enumerate(zip(tr.delay_diagnostics, tr.observed), start=1):
-            if not 0.0 <= step.carry <= 0.25 + 1e-12:
-                carries_ok = False
-            if abs(obs - loss.masked_baseline(t, step.low)) > 1e-12:
-                masked_ok = False
-        if loss.best_arm is None:
-            saw_none = True
-            if delay.switch_count != 0:
-                switches_ok = False
-        else:
-            saw_hidden = True
-            pulls = sum(1 for a in tr.actions if a == loss.best_arm)
-            if delay.switch_count > adv.switch_bound(gap, pulls):
-                switches_ok = False
-    ok &= _check(lines, carries_ok, "carry stays within [0, 1/4]")
-    ok &= _check(lines, masked_ok, "observed loss equals the masked walk baseline, every round")
-    ok &= _check(lines, switches_ok and saw_hidden and saw_none,
-                 "switch counts within budget (hidden arm) and zero (no hidden arm)")
-    return ok, lines
-
-
-def _brute_force_width(rule, horizon: int) -> int:
-    best = 0
-    for t in range(1, horizon + 1):
-        cut = sum(1 for s in range(1, horizon + 1) if rule(s) <= t < s)
-        best = max(best, cut)
-    return best
-
-
-def _suite_walk() -> tuple:
-    """Width and drift certificates for the multi-scale walk."""
-    lines, ok = [], True
-    enum_ok = all(
-        adv.width(adv.MULTISCALE, t) == _brute_force_width(adv.walk_parent, t)
-        for t in range(1, 65)
-    )
-    ok &= _check(lines, enum_ok, "width matches exhaustive enumeration for T <= 64")
-    bound_ok = all(
-        adv.width(adv.MULTISCALE, 2 ** p) <= p + 1 for p in range(4, 17)
-    )
-    ok &= _check(lines, bound_ok, "width <= floor(log2 T) + 1 for T = 2^4 .. 2^16")
-    horizon, sigma, delta = 2 ** 12, 0.05, 0.1
-    walks = adv.walk_value_matrix(sigma, horizon, 1000, master_seed=99)
-    thr = adv.drift_threshold(sigma, horizon, delta)
-    frac = float((np.abs(walks[:, 1:]).max(axis=1) > thr).mean())
-    ok &= _check(lines, frac <= delta + 0.03,
-                 f"drift threshold exceeded by {frac:.3f} of 1000 walks (budget {delta + 0.03:.2f})")
-    return ok, lines
-
-
-def _suite_kl() -> tuple:
-    """Censored-KL bound sweep and wide-window agreement."""
-    lines, ok = [], True
-    mus = (0.6, 0.7, 0.8, 0.9)
-    sigmas = (0.01, 0.05, 0.1, 0.5)
-    bound_ok, combos = True, 0
-    for mp in mus:
-        for mq in mus:
-            for s in sigmas:
-                p = analysis.CensoredGaussian(mp, s)
-                q = analysis.CensoredGaussian(mq, s)
-                if analysis.censored_kl(p, q) > analysis.gaussian_kl(mp, mq, s) + 1e-9:
-                    bound_ok = False
-                combos += 1
-    ok &= _check(lines, bound_ok, f"censored KL <= Gaussian KL across {combos} combinations")
-    s = 0.02
-    mp, mq = 0.6, 0.64
-    wide = 10 * s
-    p = analysis.CensoredGaussian(mp, s, mp - wide, mp + wide)
-    q = analysis.CensoredGaussian(mq, s, mp - wide, mp + wide)
-    err = abs(analysis.censored_kl(p, q) - analysis.gaussian_kl(mp, mq, s))
-    ok &= _check(lines, err < 1e-6, f"window at +-10 sigma reproduces Gaussian KL (err {err:.2e})")
-    mass_err = abs(analysis.CensoredGaussian(0.7, 0.05).total_mass() - 1.0)
-    ok &= _check(lines, mass_err < 1e-9, f"censored measure has unit mass (err {mass_err:.2e})")
-    return ok, lines
-
-
-def _suite_wrapper() -> tuple:
-    """Wrapper reduction identity and batch accounting."""
-    lines, ok = [], True
-    horizon, k = 2048, 3
-    master = run_seed(13, 0)
-    loss = adv.TableLoss.from_seed(k, horizon, master)
-    config = core.GameConfig(horizon, core.Discrete(k), 1, 0, master)
-    raw = core.run_game(
-        config, lrn.Exp3Learner(k, horizon, substream(master, LEARNER_STREAM)),
-        loss, adv.NoDelay(),
-    )
-    wrapped = core.run_game(
-        config,
-        lrn.MiniBatchWrapper(
-            lrn.Exp3Learner(k, horizon, substream(master, LEARNER_STREAM)), 1, horizon
-        ),
-        loss, adv.NoDelay(),
-    )
-    ok &= _check(lines, raw.actions == wrapped.actions and raw.observed == wrapped.observed,
-                 "batch size 1 wrapper reproduces the raw learner exactly")
-    audits_ok = True
-    for d, tau in ((2, 8), (4, 8), (3, 16)):
-        seed = run_seed(13, d * 100 + tau)
-        loss = adv.TableLoss.from_seed(k, horizon, seed)
-        delay = adv.LastSlotDelay(d)
-        config = core.GameConfig(horizon, core.Discrete(k), d, 0, seed)
-        inner = lrn.Exp3Learner(k, horizon // tau, substream(seed, LEARNER_STREAM))
-        tr = core.run_game(config, lrn.MiniBatchWrapper(inner, tau, horizon), loss, delay)
-        if not analysis.audit_delay_accounting(tr, tau).passed:
-            audits_ok = False
-    ok &= _check(lines, audits_ok, "batch accounting holds under worst-case full delay")
-    ok &= _check(lines, lrn.choose_tau(10 ** 6, 8) == 50 and lrn.choose_tau(8, 8, 5) == 6,
-                 "automatic batch size honors its floors")
-    return ok, lines
-
-
-_SUITE_FUNCS = {
-    "splits": _suite_splits,
-    "thm1": _suite_parity_trap,
-    "lowerbound": _suite_lowerbound,
-    "walk": _suite_walk,
-    "kl": _suite_kl,
-    "wrapper": _suite_wrapper,
-}
-
-
-# ---------------------------------------------------------------------------
 # subcommands
 
 
@@ -478,17 +260,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    names = args.suite or list(SUITES)
+    names = args.suite or list(checks.SUITES)
     for name in names:
-        if name not in _SUITE_FUNCS:
-            raise UsageError(f"unknown suite {name!r}; choose from {SUITES}")
+        if name not in checks.SUITES:
+            raise UsageError(f"unknown suite {name!r}; choose from {tuple(checks.SUITES)}")
     all_ok = True
     for name in names:
-        ok, lines = _SUITE_FUNCS[name]()
+        results = checks.SUITES[name]()
+        ok = all(passed for passed, _ in results)
         all_ok &= ok
         print(f"suite {name}: {'ok' if ok else 'FAILED'}")
-        for line in lines:
-            print(f"  {line}")
+        for passed, label in results:
+            print(f"  [{'pass' if passed else 'FAIL'}] {label}")
     return EXIT_OK if all_ok else EXIT_VERIFY
 
 
@@ -500,12 +283,9 @@ def cmd_analyze(args) -> int:
     for needed in ("T", metric):
         if needed not in rows[0]:
             raise UsageError(f"column {needed!r} missing from {args.csv}")
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(int(row["T"]), []).append(float(row[metric]))
-    points = [(t, float(np.mean(vs))) for t, vs in sorted(groups.items())]
+    groups = analysis.horizon_groups(rows, metric)
     try:
-        fit = analysis.fit_exponent(points)
+        fit = analysis.fit_exponent(analysis.horizon_means(groups))
     except ValueError as e:
         raise UsageError(str(e))
     payload = {
@@ -516,22 +296,9 @@ def cmd_analyze(args) -> int:
         "points": [[t, v] for t, v in fit.points],
     }
     if args.bootstrap > 0:
-        rng = np.random.default_rng(0)
-        alphas = []
-        for _ in range(args.bootstrap):
-            resampled = []
-            for t, vs in sorted(groups.items()):
-                picks = rng.integers(0, len(vs), size=len(vs))
-                resampled.append((t, float(np.mean([vs[i] for i in picks]))))
-            try:
-                alphas.append(analysis.fit_exponent(resampled).exponent)
-            except ValueError:
-                continue  # a resample can be all-zero; skip it
-        if alphas:
-            payload["alpha_ci_90"] = [
-                float(np.percentile(alphas, 5)),
-                float(np.percentile(alphas, 95)),
-            ]
+        ci = analysis.bootstrap_exponent_ci(groups, args.bootstrap)
+        if ci is not None:
+            payload["alpha_ci_90"] = list(ci)
     print(json.dumps(payload))
     return EXIT_OK
 
@@ -641,7 +408,7 @@ def build_parser() -> _Parser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="*",
-                          help=f"suites to run; default all of {SUITES}")
+                          help=f"suites to run; default all of {tuple(checks.SUITES)}")
     p_verify.set_defaults(func=cmd_verify)
 
     p_an = sub.add_parser("analyze", help="fit a scaling exponent to a result CSV")

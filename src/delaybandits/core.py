@@ -73,7 +73,8 @@ class Discrete:
             raise ValueError(f"need at least 2 arms, got {self.arm_count}")
 
     def contains(self, action) -> bool:
-        return isinstance(action, (int, np.integer)) and 0 <= action < self.arm_count
+        return (isinstance(action, (int, np.integer)) and type(action) is not bool
+                and 0 <= action < self.arm_count)
 
     def comparators(self) -> list:
         return list(range(self.arm_count))
@@ -156,15 +157,12 @@ class GameConfig:
 class LossSplit:
     """Decomposition of one round's loss into delayed components.
 
-    ``components[s]`` surfaces at round ``t + s``.  ``per_arm`` optionally
-    records the component table for every action (diagnostics only; the
-    game itself needs the chosen action's components).
+    ``components[s]`` surfaces at round ``t + s``.
     """
 
     t: int
     components: tuple
     loss_value: float
-    per_arm: Optional[tuple] = None
 
 
 def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
@@ -172,7 +170,7 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
 
     Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
     negative, any component exceeding the loss, a wrong component count, or
-    a sum off by more than SPLIT_ATOL raises :class:`SplitError`.
+    a sum off by more than SPLIT_ATOL (or NaN) raises :class:`SplitError`.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -195,7 +193,7 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     if clamped is not None:
         split.components = comps = tuple(clamped)
     total = comps[0] if len(comps) == 1 else math.fsum(comps)
-    if abs(total - lv) > SPLIT_ATOL:
+    if not abs(total - lv) <= SPLIT_ATOL:
         raise SplitError(
             f"round {split.t}: components sum to {total!r}, loss is {lv!r}"
         )

@@ -14,12 +14,12 @@ import numpy as np
 
 _UINT64 = (1 << 64) - 1
 
-# stream ids; never renumber, or archived runs stop being reproducible
+# stream ids; never renumber, or archived runs stop being reproducible.
+# Id 5 is reserved: it belonged to a retired probe stream.
 BEST_ARM_STREAM = 1
 WALK_STREAM = 2
 LEARNER_STREAM = 3
 LOSS_TABLE_STREAM = 4
-PROBE_STREAM = 5
 SPLIT_STREAM = 6
 
 

@@ -3,59 +3,25 @@
 Each test exercises one headline guarantee of the framework at full scale
 and prints a single [pass]/[FAIL] line with its measured numbers, so the
 terminal log doubles as the acceptance report.  Tolerances and runtime
-budgets are asserted, not just printed.
+budgets are asserted, not just printed.  The invariants themselves live in
+:mod:`delaybandits.checks`, which ``delaybandits verify`` runs at a
+smaller scale.
 """
 
-import itertools
 import math
 import time
 
 import numpy as np
 
-from delaybandits import (
-    CensoredGaussian,
-    DelayStateMachine,
-    Discrete,
-    Exp3Learner,
-    GameConfig,
-    GapWalkLoss,
-    MiniBatchWrapper,
-    NoDelay,
-    ParityDelay,
-    ParityTrapLoss,
-    ScriptedLearner,
-    TableLoss,
-    UniformRandomLearner,
-    audit_delay_accounting,
-    censored_kl,
-    cli,
-    drift_threshold,
-    fit_exponent,
-    gap_walk_defaults,
-    gaussian_kl,
-    policy_regret,
-    run_game,
-    switch_bound,
-    walk_parent,
-    walk_value_matrix,
-    width,
-)
-from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
-
-import util
+from delaybandits import audit_delay_accounting, checks, cli, fit_exponent, run_game
+from delaybandits.analysis import horizon_groups, horizon_means
+from delaybandits.seeding import run_seed
 
 
 def report(capsys, ok: bool, label: str) -> None:
     with capsys.disabled():
         print(f"\n[{'pass' if ok else 'FAIL'}] {label}")
     assert ok, label
-
-
-def mean_points(rows, metric):
-    groups: dict = {}
-    for row in rows:
-        groups.setdefault(int(row["T"]), []).append(float(row[metric]))
-    return [(t, float(np.mean(vs))) for t, vs in sorted(groups.items())]
 
 
 def test_trap_linear_pseudo_regret_with_zero_policy_regret(capsys):
@@ -83,30 +49,8 @@ def test_trap_linear_pseudo_regret_with_zero_policy_regret(capsys):
 
 
 def test_trap_observations_are_action_independent(capsys):
-    T = 10_000
-    pattern = tuple(float(t % 2 == 0) for t in range(1, T + 1))
-    config = GameConfig(horizon=T, action_space=Discrete(2),
-                        delay_span=2, memory_bound=1)
-    random_ok = 0
-    for best_arm in (0, 1):
-        loss = ParityTrapLoss(best_arm)
-        for rep in range(100):
-            learner = UniformRandomLearner(
-                2, substream(run_seed(1_000 + best_arm, rep), LEARNER_STREAM))
-            tr = run_game(config, learner, loss, ParityDelay())
-            random_ok += tr.observed == pattern
-
-    # every deterministic lookup-table learner realizes some fixed action
-    # sequence, so ranging over all 2^10 sequences covers them all
-    short = GameConfig(horizon=10, action_space=Discrete(2),
-                       delay_span=2, memory_bound=1)
-    exhaustive_ok = 0
-    for best_arm in (0, 1):
-        loss = ParityTrapLoss(best_arm)
-        for seq in itertools.product((0, 1), repeat=10):
-            tr = run_game(short, ScriptedLearner(seq), loss, ParityDelay())
-            exhaustive_ok += tr.observed == pattern[:10]
-
+    trap = checks.trap_observations(10, seed_base=1_000)
+    random_ok, exhaustive_ok = sum(trap.random_forced), sum(trap.scripted_forced)
     ok = random_ok == 200 and exhaustive_ok == 2048
     report(capsys, ok,
            f"trap indistinguishability: observed stream forced to 0,1,0,1,... "
@@ -115,109 +59,36 @@ def test_trap_observations_are_action_independent(capsys):
 
 def test_drifting_construction_invariants_at_scale(capsys):
     t0 = time.perf_counter()
-    T, K = 2 ** 16, 2
-    gap, sigma = gap_walk_defaults(K, T)
-    config = GameConfig(horizon=T, action_space=Discrete(K), delay_span=2)
-
-    runs = carry_ok = masked_ok = split_ok = budget_ok = 0
-    hidden = 0
-    worst_resid = 0.0
-    for rep in range(50):
-        seed = run_seed(0, rep)
-        loss = GapWalkLoss.from_seed(K, T, gap, sigma, seed)
-        machine = DelayStateMachine(loss)
-        learner = UniformRandomLearner(K, substream(seed, LEARNER_STREAM))
-        tr = run_game(config, learner, loss, machine)
-        runs += 1
-
-        lows = np.array([step.low for step in tr.delay_diagnostics])
-        carries = np.array([step.carry for step in tr.delay_diagnostics])
-        carry_ok += bool((carries >= 0.0).all() and (carries <= 0.25).all())
-
-        # observed loss must match the action-independent banded walk
-        walk_vals = loss.walk.values()[1:]
-        banded = np.clip(walk_vals + 0.75 - gap * lows, 0.5, 1.0)
-        resid = float(np.max(np.abs(banded - np.asarray(tr.observed))))
-        worst_resid = max(worst_resid, resid)
-        masked_ok += resid <= 1e-12
-
-        components = np.array([s.components for s in tr.splits])
-        losses = np.asarray(tr.true_losses)
-        split_ok += bool(
-            (components >= -1e-12).all()
-            and (components <= losses[:, None] + 1e-12).all()
-            and float(np.max(np.abs(components.sum(axis=1) - losses))) <= 1e-12
-        )
-
-        switches = int(lows[0]) + int((lows[1:] != lows[:-1]).sum())
-        if loss.best_arm is None:
-            budget_ok += switches == 0
-        else:
-            hidden += 1
-            pulls = int(np.sum(np.asarray(tr.actions) == loss.best_arm))
-            budget_ok += switches <= switch_bound(gap, pulls)
+    T = 2 ** 16
+    inv = checks.construction_invariants(T, seeds=50, seed_base=0)
     elapsed = time.perf_counter() - t0
 
-    ok = (runs == carry_ok == masked_ok == split_ok == budget_ok == 50
-          and elapsed < 30.0)
+    ok = (inv.runs == inv.carry_ok == inv.masked_ok == inv.split_ok
+          == inv.budget_ok == 50 and inv.both_cases and elapsed < 30.0)
     report(capsys, ok,
-           f"construction invariants: 50 runs at T={T}, carry in [0, 1/4], "
-           f"masked residual {worst_resid:.1e}, switch budgets held "
-           f"({hidden} hidden-arm runs), splits valid, {elapsed:.1f}s")
+           f"construction invariants: {inv.runs} runs at T={T}, carry in [0, 1/4], "
+           f"masked residual {inv.worst_residual:.1e}, switch budgets held "
+           f"({inv.hidden} hidden-arm runs), splits valid, {elapsed:.1f}s")
 
 
 def test_walk_width_and_drift_certificates(capsys):
-    widths = np.array([width(walk_parent, t) for t in range(1, 2 ** 12 + 1)])
-    log_bound = np.floor(np.log2(np.arange(1, 2 ** 12 + 1))).astype(int) + 1
-    bound_ok = bool((widths <= log_bound).all())
-
-    oracle_ok = all(
-        util.brute_force_width(walk_parent, t) == int(widths[t - 1])
-        for t in range(1, 257)
-    )
-    spot_ok = width(walk_parent, 2 ** 16) <= 17 and width(walk_parent, 2 ** 20) <= 21
-
-    sigma, T, delta = 0.05, 2 ** 12, 0.1
-    values = walk_value_matrix(sigma, T, 1_000, master_seed=4)
-    threshold = drift_threshold(sigma, T, delta)
-    exceedance = float((np.abs(values).max(axis=1) > threshold).mean())
-    drift_ok = exceedance <= delta + 0.03
-
-    ok = bound_ok and oracle_ok and spot_ok and drift_ok
+    walk = checks.walk_certificates(
+        256, [*range(1, 2 ** 12 + 1), 2 ** 16, 2 ** 20], drift_seed=4)
+    ok = walk.enumerated_ok and walk.bound_ok and walk.drift_ok
     report(capsys, ok,
            f"walk certificates: width <= floor(log2 T)+1 for all T <= 4096 "
-           f"(oracle-matched to 256), spot widths {width(walk_parent, 2 ** 16)}"
-           f"/{width(walk_parent, 2 ** 20)} at 2^16/2^20, drift exceedance "
-           f"{exceedance:.3f} <= {delta + 0.03:.2f}")
+           f"(oracle-matched to 256), spot widths {walk.widths[2 ** 16]}"
+           f"/{walk.widths[2 ** 20]} at 2^16/2^20, drift exceedance "
+           f"{walk.exceedance:.3f} <= {walk.drift_budget:.2f}")
 
 
 def test_censored_kl_stays_below_gaussian_kl(capsys):
-    means = (0.6, 0.7, 0.8, 0.9)
-    sigmas = (0.01, 0.05, 0.1, 0.5)
-    combos = passed = 0
-    worst = -math.inf
-    for mu_p, mu_q, sigma in itertools.product(means, means, sigmas):
-        ck = censored_kl(CensoredGaussian(mu_p, sigma),
-                         CensoredGaussian(mu_q, sigma))
-        gk = gaussian_kl(mu_p, mu_q, sigma)
-        combos += 1
-        passed += ck <= gk + 1e-9
-        worst = max(worst, ck - gk)
-
-    # a +-10 sigma window censors nothing measurable: the divergence must
-    # collapse to the closed-form Gaussian value
-    mu, sigma = 0.75, 0.02
-    lo, hi = mu - 10 * sigma, mu + 10 * sigma
-    wide = abs(
-        censored_kl(CensoredGaussian(mu, sigma, lo, hi),
-                    CensoredGaussian(mu + sigma / 2, sigma, lo, hi))
-        - gaussian_kl(mu, mu + sigma / 2, sigma)
-    )
-
-    ok = combos == 64 and passed == 64 and wide <= 1e-6
+    kl = checks.censored_kl_bound(0.75, 0.76)
+    ok = kl.combos == 64 and kl.grid_ok and kl.window_ok and kl.mass_ok
     report(capsys, ok,
-           f"censored KL: {passed}/{combos} combos below the Gaussian bound "
-           f"(max excess {worst:.1e}), wide-window deviation {wide:.1e}")
+           f"censored KL: {kl.below}/{kl.combos} combos below the Gaussian bound "
+           f"(max excess {kl.max_excess:.1e}), wide-window deviation "
+           f"{kl.window_error:.1e}")
 
 
 def test_batch_accounting_audit_on_wrapper_sweeps(capsys):
@@ -269,13 +140,15 @@ def test_regret_scaling_exponents(capsys):
         adversary="gapwalk", delay="statemachine", learner="wrapper-exp3",
         horizons=horizons, repetitions=50, seed_base=0,
     )
-    fit_b = fit_exponent(mean_points(cli.execute_spec(batched), "policy_regret"))
+    fit_b = fit_exponent(horizon_means(horizon_groups(
+        cli.execute_spec(batched), "policy_regret")))
 
     unbatched = cli.ExperimentSpec(
         adversary="paritytrap", delay="parity", learner="exp3",
         horizons=horizons, memory_bound=1, repetitions=50, seed_base=0,
     )
-    fit_u = fit_exponent(mean_points(cli.execute_spec(unbatched), "pseudo_regret"))
+    fit_u = fit_exponent(horizon_means(horizon_groups(
+        cli.execute_spec(unbatched), "pseudo_regret")))
     elapsed = time.perf_counter() - t0
 
     ok = (0.55 <= fit_b.exponent <= 0.80 and fit_u.exponent >= 0.95
@@ -288,29 +161,7 @@ def test_regret_scaling_exponents(capsys):
 
 
 def test_unit_batch_reduces_to_inner_learner(capsys):
-    T, K = 1_000, 3
-    config = GameConfig(horizon=T, action_space=Discrete(K), delay_span=1)
-    identical = 0
-    regret_gap = 0.0
-    for rep in range(5):
-        seed = run_seed(8, rep)
-        loss = TableLoss.from_seed(K, T, seed)
-
-        bare = Exp3Learner(K, T, substream(seed, LEARNER_STREAM))
-        tr_bare = run_game(config, bare, loss, NoDelay())
-
-        wrapped = MiniBatchWrapper(Exp3Learner(K, T, substream(seed, LEARNER_STREAM)),
-                                   batch_size=1, horizon=T)
-        tr_wrap = run_game(config, wrapped, loss, NoDelay())
-
-        identical += (tr_wrap.actions == tr_bare.actions
-                      and tr_wrap.observed == tr_bare.observed
-                      and tr_wrap.true_losses == tr_bare.true_losses)
-        regret_gap = max(regret_gap,
-                         abs(policy_regret(tr_wrap, loss).policy_regret
-                             - policy_regret(tr_bare, loss).policy_regret))
-
-    ok = identical == 5 and regret_gap == 0.0
-    report(capsys, ok,
-           f"unit-batch reduction: {identical}/5 seeds give bit-identical "
-           f"trajectories, max regret gap {regret_gap}")
+    unit = checks.unit_batch_reduction(1_000, seeds=5, seed_base=8)
+    report(capsys, unit.ok,
+           f"unit-batch reduction: {unit.identical}/{unit.runs} seeds give "
+           f"bit-identical trajectories, max regret gap {unit.regret_gap}")

@@ -28,10 +28,6 @@ def test_parent_rule_values():
     assert adv.walk_parent(2 ** 20) == 0
 
 
-def test_dyadic_valuation():
-    assert [adv.dyadic_valuation(t) for t in range(1, 9)] == [0, 1, 0, 2, 0, 1, 0, 3]
-
-
 @given(st.integers(min_value=1, max_value=2 ** 20))
 def test_parent_is_proper_and_chains_to_zero(t):
     p = adv.walk_parent(t)
@@ -44,13 +40,13 @@ def test_parent_is_proper_and_chains_to_zero(t):
 
 
 def test_width_frozen_values():
-    assert adv.width(adv.MULTISCALE, 1) == 0
-    assert adv.width(adv.MULTISCALE, 8) == 3
+    assert adv.width(adv.walk_parent, 1) == 0
+    assert adv.width(adv.walk_parent, 8) == 3
 
 
 def test_width_matches_brute_force():
     for horizon in range(1, 65):
-        assert adv.width(adv.MULTISCALE, horizon) == util.brute_force_width(
+        assert adv.width(adv.walk_parent, horizon) == util.brute_force_width(
             adv.walk_parent, horizon
         )
 
@@ -58,7 +54,7 @@ def test_width_matches_brute_force():
 def test_width_log_bound():
     for p in range(0, 13):
         horizon = 2 ** p
-        assert adv.width(adv.MULTISCALE, horizon) <= p + 1
+        assert adv.width(adv.walk_parent, horizon) <= p + 1
 
 
 def test_width_accepts_plain_callables():
@@ -348,20 +344,6 @@ def test_machine_starving_policy_freezes_after_two_switches():
     assert final.carry == pytest.approx(0.25, abs=0.05)
 
 
-def test_machine_per_arm_record_optional():
-    loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.05)
-    tr, _ = run_masked(loss, [0, 1, 0, 1])
-    assert all(sp.per_arm is None for sp in tr.splits)
-    dsm = adv.DelayStateMachine(loss, record_per_arm=True)
-    cfg = core.GameConfig(4, core.Discrete(2), 2, 0, 0)
-    tr2 = core.run_game(cfg, lrn.ScriptedLearner([0, 1, 0, 1]), loss, dsm)
-    for t, sp in enumerate(tr2.splits, start=1):
-        assert len(sp.per_arm) == 2
-        for arm, (imm, held) in enumerate(sp.per_arm):
-            assert imm == pytest.approx(sp.components[0], abs=1e-15)
-            assert imm + held == pytest.approx(loss.arm_loss(t, arm), abs=1e-12)
-
-
 def test_machine_held_components_track_the_carry_bands():
     # low state: the hidden arm's held piece equals the previous carry and
     # the other arm overshoots by at most the gap; mirrored in high state
@@ -373,15 +355,17 @@ def test_machine_held_components_track_the_carry_bands():
         loss = adv.GapWalkLoss.from_seed(K, T, gap, sigma, seed)
         if loss.best_arm is None:
             continue
-        dsm = adv.DelayStateMachine(loss, record_per_arm=True)
+        dsm = adv.DelayStateMachine(loss)
         learner = lrn.UniformRandomLearner(K, substream(seed, LEARNER_STREAM))
         cfg = core.GameConfig(T, core.Discrete(K), 2, 0, seed)
         tr = core.run_game(cfg, learner, loss, dsm)
         prev = 0.0
         z = loss.best_arm
-        for sp, step in zip(tr.splits, tr.delay_diagnostics):
-            held_z = sp.per_arm[z][1]
-            held_other = sp.per_arm[1 - z][1]
+        for t, (sp, step) in enumerate(zip(tr.splits, tr.delay_diagnostics), start=1):
+            # the immediate piece is the same for every arm; each arm
+            # would have held back the rest of its own loss
+            held_z = loss.arm_loss(t, z) - sp.components[0]
+            held_other = loss.arm_loss(t, 1 - z) - sp.components[0]
             if step.low:
                 assert held_z == pytest.approx(prev, abs=1e-12)
                 assert prev - 1e-12 <= held_other <= prev + gap + 1e-12

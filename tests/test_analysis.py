@@ -199,7 +199,7 @@ def test_masked_streams_stay_within_analytic_budget():
         obs_masked[rep] = tr1.observed
         pulls += sum(1 for a in tr1.actions if a == 0)
     budget = analysis.observation_tv_bound(
-        gap, sigma, adv.width(adv.MULTISCALE, horizon), pulls / n
+        gap, sigma, adv.width(adv.walk_parent, horizon), pulls / n
     )
     tv = analysis.marginal_tv(obs_plain, obs_masked, sigma)
     assert tv <= 2 * budget

@@ -123,6 +123,16 @@ class TestUsageErrors:
         assert cli.main(["run", "--epsilon", "0.2",
                          "--out", str(tmp_path / "x.csv")]) == 1
 
+    def test_span_flag_only_for_last_slot_delay(self, tmp_path):
+        # the masking and parity delays fix their own span of 2
+        assert cli.main(["run", "--delay", "statemachine", "--d", "7",
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_last_slot_delay_needs_real_span(self, tmp_path):
+        assert cli.main(["run", "--adversary", "iid", "--delay", "lastslot",
+                         "--d", "1", "--out", str(tmp_path / "x.csv")]) == 1
+
     def test_unknown_verify_suite(self):
         assert cli.main(["verify", "nonsense"]) == 1
 

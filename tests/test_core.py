@@ -31,6 +31,7 @@ class TestDiscrete:
         assert not space.contains(3)
         assert not space.contains(-1)
         assert not space.contains(1.0)  # floats are not arm indices
+        assert not space.contains(True) and not space.contains(False)  # nor bools
 
     def test_needs_two_arms(self):
         with pytest.raises(ValueError):
@@ -101,6 +102,11 @@ class TestValidateSplit:
     def test_sum_mismatch_rejected(self):
         with pytest.raises(core.SplitError):
             core.validate_split(core.LossSplit(1, (0.2, 0.2), 0.5), 2)
+
+    @pytest.mark.parametrize("comps", [(math.nan, 0.5), (math.nan,)])
+    def test_nan_component_rejected_with_round(self, comps):
+        with pytest.raises(core.SplitError, match="round 4"):
+            core.validate_split(core.LossSplit(4, comps, 0.5), len(comps))
 
 
 class TestFeedbackBuffer:
@@ -206,6 +212,9 @@ def test_engine_rejects_bad_action():
 
     with pytest.raises(core.ActionError):
         core.run_game(make_config(2), Rogue(), adv.ConstantLoss(0.5), adv.NoDelay())
+    with pytest.raises(core.ActionError, match="round 1"):
+        core.run_game(make_config(1), lrn.ScriptedLearner([True]),
+                      adv.ConstantLoss(0.5), adv.NoDelay())
 
 
 def test_engine_pauses_cyclic_gc_only_while_playing():

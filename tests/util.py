@@ -147,7 +147,3 @@ def exhaustive_action_sequences(horizon: int, arm_count: int = 2):
             seq.append(c % arm_count)
             c //= arm_count
         yield seq
-
-
-def observed_stream(transcript):
-    return list(transcript.observed)
