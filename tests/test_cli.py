@@ -150,6 +150,41 @@ def test_fast_verify_suites_pass(capsys):
     assert capsys.readouterr().out == golden.read_text(encoding="utf-8")
 
 
+#: every valid adversary+delay pairing, with the flags it needs
+CLI_PAIRINGS = (
+    ("constant", "none", []), ("constant", "lastslot", ["--d", "4"]),
+    ("iid", "none", []), ("iid", "lastslot", ["--d", "4"]),
+    ("paritytrap", "none", ["--m", "1"]), ("paritytrap", "parity", ["--m", "1"]),
+    ("paritytrap", "lastslot", ["--m", "1", "--d", "4"]),
+    ("gapwalk", "none", []), ("gapwalk", "statemachine", []),
+    ("gapwalk", "lastslot", ["--d", "4"]),
+)
+
+
+def cli_run_lines(tmp_path) -> list:
+    """Rows of every pairing x learner at T = 64 and 1000 x 3 seeds, as
+    CSV text without the wall_time_ms column, under one header."""
+    drop = cli.CSV_COLUMNS.index("wall_time_ms")
+    lines = [",".join(c for i, c in enumerate(cli.CSV_COLUMNS) if i != drop)]
+    for adversary, delay, flags in CLI_PAIRINGS:
+        for learner in cli.LEARNERS:
+            out = tmp_path / f"{adversary}-{delay}-{learner}.csv"
+            assert cli.main(["sweep", "--adversary", adversary, "--delay", delay,
+                             "--learner", learner, *flags, "--T", "64", "--T", "1000",
+                             "--seeds", "3", "--out", str(out)]) == 0
+            with open(out, newline="", encoding="utf-8") as fh:
+                rows = list(csv.reader(fh))[1:]
+            lines += [",".join(c for i, c in enumerate(r) if i != drop) for r in rows]
+    return lines
+
+
+def test_every_cli_pairing_matches_golden(tmp_path, capsys):
+    golden = Path(__file__).parent / "golden" / "cli_runs.csv"
+    lines = cli_run_lines(tmp_path)
+    assert len(lines) == 1 + len(CLI_PAIRINGS) * len(cli.LEARNERS) * 2 * 3
+    assert lines == golden.read_text(encoding="utf-8").splitlines()
+
+
 def test_analyze_emits_fit_json(tmp_path, capsys):
     out = tmp_path / "sweep.csv"
     assert cli.main(["sweep", "--adversary", "paritytrap", "--delay", "parity",
