@@ -20,23 +20,17 @@ import numpy as np
 
 from delaybandits import (
     CensoredGaussian,
-    DelayStateMachine,
-    Discrete,
-    GameConfig,
-    GapWalkLoss,
     MultiScaleWalk,
-    UniformRandomLearner,
     censored_kl,
     drift_threshold,
     gap_walk_defaults,
     observation_tv_bound,
     pinsker_tv,
-    run_game,
     switch_bound,
     walk_parent,
     width,
 )
-from delaybandits.seeding import LEARNER_STREAM, substream
+from delaybandits.checks import masking_run
 
 
 def walk_block(args):
@@ -58,33 +52,15 @@ def walk_block(args):
 def machine_block(args):
     print("== machine ==")
     T = 2 ** args.log2_T
-    gap, sigma = gap_walk_defaults(args.K, T)
-    loss = GapWalkLoss.from_seed(args.K, T, gap, sigma, args.seed)
-    machine = DelayStateMachine(loss)
-    learner = UniformRandomLearner(args.K, substream(args.seed, LEARNER_STREAM))
-    config = GameConfig(horizon=T, action_space=Discrete(args.K),
-                        delay_span=2, master_seed=args.seed)
-    tr = run_game(config, learner, loss, machine)
-
-    lows = [step.low for step in tr.delay_diagnostics]
-    carries = [step.carry for step in tr.delay_diagnostics]
-    switches = sum(1 for a, b in zip(lows, lows[1:]) if a != b)
-    if lows and lows[0]:
-        switches += 1  # the start counts as leaving the high state
-    print(f"  T={T}  gap={gap:.3e}  hidden arm={loss.best_arm}")
-    if loss.best_arm is None:
-        print(f"  switches={switches} (no hidden arm: must be 0)")
+    run = masking_run(T, args.K, args.seed)
+    print(f"  T={T}  gap={run.gap:.3e}  hidden arm={run.best_arm}")
+    if run.best_arm is None:
+        print(f"  switches={run.switches} (no hidden arm: must be 0)")
     else:
-        pulls = sum(1 for a in tr.actions if a == loss.best_arm)
-        bound = switch_bound(gap, pulls)
-        print(f"  hidden-arm pulls={pulls}")
-        print(f"  switches={switches}  budget={bound:.2f}")
-    print(f"  carry range [{min(carries):.6f}, {max(carries):.6f}] (cap 0.25)")
-    resid = max(
-        abs(obs - loss.masked_baseline(t, low))
-        for t, (obs, low) in enumerate(zip(tr.observed, lows), start=1)
-    )
-    print(f"  max |observed - masked baseline| = {resid:.3e}")
+        print(f"  hidden-arm pulls={run.pulls}")
+        print(f"  switches={run.switches}  budget={run.budget:.2f}")
+    print(f"  carry range [{run.carry_min:.6f}, {run.carry_max:.6f}] (cap 0.25)")
+    print(f"  max |observed - masked baseline| = {run.residual:.3e}")
 
 
 def info_block(args):

@@ -26,7 +26,6 @@ from .core import (
     ActionError,
     ConvexBall,
     Discrete,
-    FeedbackBuffer,
     GameConfig,
     LossSplit,
     MemoryCheckResult,
@@ -91,7 +90,6 @@ __all__ = [
     "DelayStateMachine",
     "Discrete",
     "Exp3Learner",
-    "FeedbackBuffer",
     "FkmLearner",
     "GameConfig",
     "GapWalkLoss",

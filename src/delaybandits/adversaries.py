@@ -23,7 +23,7 @@ the carry dynamics.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -278,13 +278,6 @@ def switch_bound(gap: float, best_arm_pulls) -> float:
     return 8.0 * gap * best_arm_pulls / (1.0 - 8.0 * gap)
 
 
-class DsmStep(NamedTuple):
-    """Per-round diagnostic: masking state and carry leaving the round."""
-
-    low: bool
-    carry: float
-
-
 class DelayStateMachine:
     """Two-state masking delay over a :class:`GapWalkLoss`.
 
@@ -302,6 +295,10 @@ class DelayStateMachine:
 
     With no hidden arm there is nothing to mask: the machine stays high,
     delays nothing, and the carry stays 0.
+
+    Each split appends the round's state to ``lows`` (True when low) and
+    the carry leaving the round to ``carries``, as computed: before
+    validation snaps rounding noise in the held component.
     """
 
     delay_span = 2
@@ -311,13 +308,15 @@ class DelayStateMachine:
         self._low = False
         self.carry = 0.0
         self.switch_count = 0
-        self._last = DsmStep(False, 0.0)
+        self.lows: list = []
+        self.carries: list = []
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
         loss = self.loss_adversary
         gap = loss.gap
         if loss.best_arm is None:
-            self._last = DsmStep(False, 0.0)
+            self.lows.append(False)
+            self.carries.append(0.0)
             return LossSplit(t, (loss_value, 0.0), loss_value)
 
         carry = self.carry
@@ -332,11 +331,9 @@ class DelayStateMachine:
         immediate = loss.masked_baseline(t, self._low) - carry
         held = loss_value - immediate
         self.carry = held
-        self._last = DsmStep(self._low, held)
+        self.lows.append(self._low)
+        self.carries.append(held)
         return LossSplit(t, (immediate, held), loss_value)
-
-    def round_info(self) -> DsmStep:
-        return self._last
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import sub
+from operator import ne, sub
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +72,53 @@ def trap_observations(n: int, seed_base: int) -> TrapObservations:
 # masking state machine over the gap walk
 
 
+class MaskingRun(NamedTuple):
+    """What one run against the gap walk and its masking delay measured."""
+
+    gap: float
+    best_arm: object     # the hidden arm, or None
+    pulls: int           # plays of the hidden arm; 0 without one
+    switches: int        # masking-state switches, counted from the recorded states
+    budget: float        # switch budget for those pulls; 0 without a hidden arm
+    carry_min: float
+    carry_max: float
+    residual: float      # largest |observed - masked baseline| over the rounds
+    split_ok: bool       # components in [0, loss], summing to the loss
+
+
+def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
+    """Uniform play on master seed ``seed`` against the gap walk with the
+    default gap and sigma, delayed by its masking state machine.
+
+    The machine starts high, so a first round in the low state counts as
+    a switch.
+    """
+    gap, sigma = adv.gap_walk_defaults(arm_count, horizon)
+    loss = adv.GapWalkLoss.from_seed(arm_count, horizon, gap, sigma, seed)
+    machine = adv.DelayStateMachine(loss)
+    learner = lrn.UniformRandomLearner(arm_count, substream(seed, LEARNER_STREAM))
+    config = core.GameConfig(horizon, core.Discrete(arm_count), 2, 0, seed)
+    tr = core.run_game(config, learner, loss, machine)
+
+    lows, carries = machine.lows, machine.carries
+    baseline = map(loss.masked_baseline, range(1, horizon + 1), lows)
+    residual = max(map(abs, map(sub, tr.observed, baseline)))
+    components = np.array(tr.components)
+    losses = np.array(tr.true_losses)
+    split_ok = bool(
+        (components >= -1e-12).all()
+        and (components <= losses[:, None] + 1e-12).all()
+        and float(np.max(np.abs(components.sum(axis=1) - losses))) <= 1e-12
+    )
+    switches = int(lows[0]) + sum(map(ne, lows, lows[1:]))
+    pulls, budget = 0, 0.0
+    if loss.best_arm is not None:
+        pulls = tr.actions.count(loss.best_arm)
+        budget = adv.switch_bound(gap, pulls)
+    return MaskingRun(gap, loss.best_arm, pulls, switches, budget,
+                      min(carries), max(carries), residual, split_ok)
+
+
 class ConstructionInvariants(NamedTuple):
     """Per invariant, the number of runs that held it."""
 
@@ -86,49 +133,20 @@ class ConstructionInvariants(NamedTuple):
 
 
 def construction_invariants(horizon: int, seeds: int, seed_base: int) -> ConstructionInvariants:
-    """Uniform play against the gap walk and its masking delay, K = 2.
-
-    Run i plays on ``run_seed(seed_base, i)`` with the default gap and
-    sigma.  Switches are counted from the recorded masking states; the
-    machine starts high, so a first round in the low state is a switch.
-    """
-    k = 2
-    gap, sigma = adv.gap_walk_defaults(k, horizon)
-    config = core.GameConfig(horizon, core.Discrete(k), 2)
-    carry_ok = masked_ok = split_ok = budget_ok = hidden = 0
-    worst_resid = 0.0
-    for rep in range(seeds):
-        seed = run_seed(seed_base, rep)
-        loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, seed)
-        learner = lrn.UniformRandomLearner(k, substream(seed, LEARNER_STREAM))
-        tr = core.run_game(config, learner, loss, adv.DelayStateMachine(loss))
-
-        lows = np.array([step.low for step in tr.delay_diagnostics])
-        carries = np.array([step.carry for step in tr.delay_diagnostics])
-        carry_ok += bool((carries >= 0.0).all() and (carries <= 0.25).all())
-
-        baseline = map(loss.masked_baseline, range(1, horizon + 1), lows.tolist())
-        resid = max(map(abs, map(sub, tr.observed, baseline)))
-        worst_resid = max(worst_resid, resid)
-        masked_ok += resid <= 1e-12
-
-        components = np.array([s.components for s in tr.splits])
-        losses = np.asarray(tr.true_losses)
-        split_ok += bool(
-            (components >= -1e-12).all()
-            and (components <= losses[:, None] + 1e-12).all()
-            and float(np.max(np.abs(components.sum(axis=1) - losses))) <= 1e-12
-        )
-
-        switches = int(lows[0]) + int((lows[1:] != lows[:-1]).sum())
-        if loss.best_arm is None:
-            budget_ok += switches == 0
-        else:
-            hidden += 1
-            pulls = int(np.sum(np.asarray(tr.actions) == loss.best_arm))
-            budget_ok += switches <= adv.switch_bound(gap, pulls)
-    return ConstructionInvariants(seeds, carry_ok, masked_ok, split_ok, budget_ok,
-                                  hidden, 0 < hidden < seeds, worst_resid)
+    """:func:`masking_run` with K = 2 on ``run_seed(seed_base, i)`` for
+    i < ``seeds``."""
+    runs = [masking_run(horizon, 2, run_seed(seed_base, rep)) for rep in range(seeds)]
+    hidden = sum(r.best_arm is not None for r in runs)
+    return ConstructionInvariants(
+        seeds,
+        sum(r.carry_min >= 0.0 and r.carry_max <= 0.25 for r in runs),
+        sum(r.residual <= 1e-12 for r in runs),
+        sum(r.split_ok for r in runs),
+        sum(r.switches <= r.budget for r in runs),
+        hidden,
+        0 < hidden < seeds,
+        max((r.residual for r in runs), default=0.0),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +287,7 @@ def unit_batch_reduction(horizon: int, seeds: int, seed_base: int) -> UnitBatch:
 
 
 def _verify_splits() -> list:
-    """Split validity and buffer conservation on randomized runs."""
+    """Split validity and conservation of delayed mass on randomized runs."""
     lines = []
     horizon = 512
     for d in (1, 2, 4):
@@ -279,16 +297,10 @@ def _verify_splits() -> list:
         config = core.GameConfig(horizon, core.Discrete(3), d, 0, spec_seed)
         learner = lrn.UniformRandomLearner(3, substream(spec_seed, LEARNER_STREAM))
         tr = core.run_game(config, learner, loss, delay)
-        recon_ok = True
-        for t in range(1, horizon + 1):
-            due = math.fsum(
-                tr.splits[t - 1 - s].components[s]
-                for s in range(d)
-                if t - s >= 1
-            )
-            if abs(due - tr.observed[t - 1]) > 1e-9:
-                recon_ok = False
-                break
+        recon_ok = all(
+            abs(math.fsum(tr.components[t - 1 - s][s] for s in range(min(d, t))) - obs) <= 1e-9
+            for t, obs in enumerate(tr.observed, start=1)
+        )
         lines.append((recon_ok, f"d={d}: observed losses reconstruct from scheduled components"))
         gap = math.fsum(tr.true_losses) - math.fsum(tr.observed)
         lines.append((-1e-9 <= gap <= d - 1 + 1e-9,

@@ -150,7 +150,7 @@ class GameConfig:
 
 
 # ---------------------------------------------------------------------------
-# loss splits and the feedback buffer
+# loss splits and pending feedback
 
 
 @dataclass(slots=True)
@@ -200,53 +200,32 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     return split
 
 
-@dataclass(slots=True)
-class FeedbackBuffer:
-    """Pending delayed mass. ``pending[k]`` surfaces k rounds from now.
-
-    ``pending`` is a list of length ``delay_span - 1`` that
-    :func:`push_split` advances in place, one round per call.
-    """
-
-    delay_span: int
-    pending: list
-
-    @classmethod
-    def empty(cls, delay_span: int) -> "FeedbackBuffer":
-        return cls(delay_span, [0.0] * (delay_span - 1))
-
-
-def observe_aggregate(buffer: FeedbackBuffer, split: LossSplit) -> float:
+def observe_aggregate(pending: list, split: LossSplit) -> float:
     """Observed loss for the round whose split is ``split``.
 
-    The immediate component surfaces now, on top of whatever older rounds
-    scheduled for this round.  Reads the buffer; does not advance it.
+    ``pending[k]`` is the delayed mass that surfaces k rounds from now; the
+    immediate component surfaces on top of ``pending[0]``.  Reads
+    ``pending``; does not advance it.
     """
-    pend = buffer.pending
-    return split.components[0] + (pend[0] if pend else 0.0)
+    return split.components[0] + (pending[0] if pending else 0.0)
 
 
-def push_split(buffer: FeedbackBuffer, split: LossSplit) -> FeedbackBuffer:
+def push_split(pending: list, split: LossSplit) -> None:
     """Schedule the delayed components of ``split`` and advance one round.
 
-    The buffer is advanced in place and returned: the result is the very
-    object that was passed in.
+    ``pending`` has length d - 1 for delay span d and is advanced in place.
     """
-    d = buffer.delay_span
-    if len(split.components) != d:
-        raise SplitError(
-            f"round {split.t}: split width {len(split.components)} != buffer span {d}"
-        )
-    if d == 1:
-        return buffer
-    pend = buffer.pending
     comps = split.components
+    d = len(pending) + 1
+    if len(comps) != d:
+        raise SplitError(f"round {split.t}: split width {len(comps)} != delay span {d}")
+    if d == 1:
+        return
     # drop the slot consumed this round, shift, add the new schedule; the
     # last slot is 0.0 + c, not c, so a -0.0 component is stored as 0.0
     for k in range(d - 2):
-        pend[k] = pend[k + 1] + comps[k + 1]
-    pend[d - 2] = 0.0 + comps[d - 1]
-    return buffer
+        pending[k] = pending[k + 1] + comps[k + 1]
+    pending[d - 2] = 0.0 + comps[d - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -255,14 +234,18 @@ def push_split(buffer: FeedbackBuffer, split: LossSplit) -> FeedbackBuffer:
 
 @dataclass(frozen=True)
 class Transcript:
-    """Complete record of one run; immutable once the run finishes."""
+    """Complete record of one run; immutable once the run finishes.
+
+    Round t is ``actions[t-1]``, ``true_losses[t-1]``, the validated split
+    ``components[t-1]`` (a tuple of d floats, clamped as
+    :func:`validate_split` left it) and ``observed[t-1]``.
+    """
 
     config: GameConfig
     actions: tuple
     true_losses: tuple
-    splits: tuple
+    components: tuple
     observed: tuple
-    delay_diagnostics: tuple
 
     @property
     def horizon(self) -> int:
@@ -306,12 +289,15 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
 
     Enforces per round: the action lies in the action space, the loss lies
     in [0, 1], the split is valid for the configured delay span, and the
-    learner only hears about round t after acting in round t.
+    learner only hears about round t after acting in round t.  A
+    :class:`SimulationError` raised in a round is re-raised as the same
+    type with ``(seed <master_seed>, <LossClass>+<DelayClass>)`` appended.
 
     The cyclic garbage collector is paused while the rounds are played and
-    restored afterwards: each round adds acyclic records (the split, its
-    diagnostics) that the transcript keeps alive, and re-traversing them
-    took about a third of a run.  Cyclic garbage that a component makes is
+    restored afterwards.  Each round keeps a new component tuple alive, so
+    allocations keep triggering collections that scan the young tuples;
+    at T = 2^16 those collections took 1-4 % of a run, the most at d = 32
+    where the tuples are widest.  Cyclic garbage that a component makes is
     collected after the run.
 
     Parameters
@@ -336,15 +322,13 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     split_fn = delay_adversary.split
     act = learner.act
     observe = learner.observe
-    info_fn = getattr(delay_adversary, "round_info", None)
 
     actions: list = []
     true_losses: list = []
-    splits: list = []
+    components: list = []
     observed_seq: list = []
-    diags: list = []
     append_action = actions.append
-    buffer = FeedbackBuffer.empty(d)
+    pending = [0.0] * (d - 1)
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -358,13 +342,17 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             if not 0.0 <= lv <= 1.0:
                 raise LossRangeError(f"round {t}: loss {lv!r} outside [0, 1]")
             split = validate_split(split_fn(t, actions, lv), d)
-            obs = observe_aggregate(buffer, split)
-            buffer = push_split(buffer, split)
+            obs = observe_aggregate(pending, split)
+            push_split(pending, split)
             observe(t, a, obs)
             true_losses.append(lv)
-            splits.append(split)
+            components.append(split.components)
             observed_seq.append(obs)
-            diags.append(info_fn() if info_fn is not None else None)
+    except SimulationError as e:
+        raise type(e)(
+            f"{e} (seed {config.master_seed}, "
+            f"{type(loss_adversary).__name__}+{type(delay_adversary).__name__})"
+        ) from e
     finally:
         if gc_was_enabled:
             gc.enable()
@@ -373,9 +361,8 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
         config=config,
         actions=tuple(actions),
         true_losses=tuple(true_losses),
-        splits=tuple(splits),
+        components=tuple(components),
         observed=tuple(observed_seq),
-        delay_diagnostics=tuple(diags),
     )
 
 

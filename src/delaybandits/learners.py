@@ -93,6 +93,10 @@ class Exp3Learner:
 
     ``rounds`` is the number of feedback rounds the learner will see: the
     horizon when playing raw, the number of batches when wrapped.
+
+    Composite feedback sums components of up to d rounds, so an observation
+    may exceed 1; ``observe`` clips it to 1, as :class:`MiniBatchWrapper`
+    clips its batch averages, to keep EXP3's loss range [0, 1].
     """
 
     def __init__(self, arm_count: int, rounds: int, rng: np.random.Generator):
@@ -108,7 +112,7 @@ class Exp3Learner:
     def observe(self, t: int, action, observed: float) -> None:
         if self._pending_prob is None:
             raise RuntimeError("observe() before act()")
-        exp3_update(self.state, action, observed, self._pending_prob)
+        exp3_update(self.state, action, min(observed, 1.0), self._pending_prob)
         self._pending_prob = None
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import core
+from delaybandits import checks, core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, WALK_STREAM, run_seed, substream
 
@@ -262,22 +262,21 @@ def run_masked(loss, actions):
 def test_machine_first_round_switches_low_and_counts():
     loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.05)
     tr, dsm = run_masked(loss, [1, 0, 0, 0])
-    step1 = tr.delay_diagnostics[0]
-    assert step1.low is True
+    assert dsm.lows[0] is True
     assert dsm.switch_count >= 1
     # played the non-hidden arm: immediate is the low baseline, the extra
     # gap is held over
-    assert tr.splits[0].components == pytest.approx((0.70, 0.05), abs=1e-12)
+    assert tr.components[0] == pytest.approx((0.70, 0.05), abs=1e-12)
     assert tr.observed[0] == pytest.approx(0.70, abs=1e-12)
 
 
 def test_machine_worked_example_two_rounds():
     loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.05)
-    tr, _ = run_masked(loss, [1, 0, 1, 1])
+    tr, dsm = run_masked(loss, [1, 0, 1, 1])
     # round 2 plays the hidden arm in the low state: observed stays at the
     # low baseline and the carry is unchanged
     assert tr.observed[1] == pytest.approx(0.70, abs=1e-12)
-    assert tr.delay_diagnostics[1].carry == pytest.approx(0.05, abs=1e-12)
+    assert dsm.carries[1] == pytest.approx(0.05, abs=1e-12)
 
 
 def test_machine_observed_equals_masked_baseline_always():
@@ -288,9 +287,9 @@ def test_machine_observed_equals_masked_baseline_always():
         dsm = adv.DelayStateMachine(loss)
         cfg = core.GameConfig(300, core.Discrete(2), 2, 0, master)
         tr = core.run_game(cfg, learner, loss, dsm)
-        for t, (step, obs) in enumerate(zip(tr.delay_diagnostics, tr.observed), start=1):
-            assert abs(obs - loss.masked_baseline(t, step.low)) <= 1e-12
-            assert 0.0 <= step.carry <= 0.25 + 1e-12
+        for t, (low, carry, obs) in enumerate(zip(dsm.lows, dsm.carries, tr.observed), start=1):
+            assert abs(obs - loss.masked_baseline(t, low)) <= 1e-12
+            assert 0.0 <= carry <= 0.25 + 1e-12
 
 
 def test_machine_matches_replay_oracle():
@@ -302,20 +301,20 @@ def test_machine_matches_replay_oracle():
         cfg = core.GameConfig(200, core.Discrete(2), 2, 0, master)
         tr = core.run_game(cfg, learner, loss, dsm)
         rows = util.replay_state_machine(loss, tr.actions)
-        for (low, carry, imm, held), step, split in zip(
-            rows, tr.delay_diagnostics, tr.splits
+        for (low, carry, imm, held), dsm_low, dsm_carry, comps in zip(
+            rows, dsm.lows, dsm.carries, tr.components
         ):
-            assert low == step.low
-            assert carry == pytest.approx(step.carry, abs=1e-15)
-            assert split.components == pytest.approx((imm, held), abs=1e-15)
+            assert low == dsm_low
+            assert carry == pytest.approx(dsm_carry, abs=1e-15)
+            assert comps == pytest.approx((imm, held), abs=1e-15)
 
 
 def test_machine_without_hidden_arm_never_moves():
     loss = adv.GapWalkLoss(zero_walk(50), 2, best_arm=None, gap=0.05)
     tr, dsm = run_masked(loss, [0, 1] * 25)
     assert dsm.switch_count == 0
-    assert all(not s.low and s.carry == 0.0 for s in tr.delay_diagnostics)
-    assert all(sp.components[1] == 0.0 for sp in tr.splits)
+    assert dsm.lows == [False] * 50 and dsm.carries == [0.0] * 50
+    assert all(comps[1] == 0.0 for comps in tr.components)
     assert tr.observed == tr.true_losses
 
 
@@ -339,9 +338,29 @@ def test_machine_starving_policy_freezes_after_two_switches():
     loss = adv.GapWalkLoss(zero_walk(400), 2, best_arm=0, gap=0.05)
     tr, dsm = run_masked(loss, [1] * 400)
     assert dsm.switch_count == 2
-    final = tr.delay_diagnostics[-1]
-    assert final.low is False
-    assert final.carry == pytest.approx(0.25, abs=0.05)
+    assert dsm.lows[-1] is False
+    assert dsm.carries[-1] == pytest.approx(0.25, abs=0.05)
+
+
+def test_masking_run_measures_what_the_machine_recorded():
+    # switches counted from the recorded states, the first-round drop
+    # included, agree with the machine's own counter
+    T, K = 512, 2
+    seen = set()
+    for rep in range(8):
+        seed = run_seed(24, rep)
+        run = checks.masking_run(T, K, seed)
+        gap, sigma = adv.gap_walk_defaults(K, T)
+        loss = adv.GapWalkLoss.from_seed(K, T, gap, sigma, seed)
+        dsm = adv.DelayStateMachine(loss)
+        learner = lrn.UniformRandomLearner(K, substream(seed, LEARNER_STREAM))
+        tr = core.run_game(core.GameConfig(T, core.Discrete(K), 2, 0, seed), learner, loss, dsm)
+        assert run.best_arm == loss.best_arm and run.switches == dsm.switch_count
+        assert (run.carry_min, run.carry_max) == (min(dsm.carries), max(dsm.carries))
+        if loss.best_arm is not None:
+            assert run.pulls == tr.actions.count(loss.best_arm)
+        seen.add(run.switches > 0)
+    assert seen == {False, True}
 
 
 def test_machine_held_components_track_the_carry_bands():
@@ -361,18 +380,20 @@ def test_machine_held_components_track_the_carry_bands():
         tr = core.run_game(cfg, learner, loss, dsm)
         prev = 0.0
         z = loss.best_arm
-        for t, (sp, step) in enumerate(zip(tr.splits, tr.delay_diagnostics), start=1):
+        for t, (comps, low, carry) in enumerate(
+            zip(tr.components, dsm.lows, dsm.carries), start=1
+        ):
             # the immediate piece is the same for every arm; each arm
             # would have held back the rest of its own loss
-            held_z = loss.arm_loss(t, z) - sp.components[0]
-            held_other = loss.arm_loss(t, 1 - z) - sp.components[0]
-            if step.low:
+            held_z = loss.arm_loss(t, z) - comps[0]
+            held_other = loss.arm_loss(t, 1 - z) - comps[0]
+            if low:
                 assert held_z == pytest.approx(prev, abs=1e-12)
                 assert prev - 1e-12 <= held_other <= prev + gap + 1e-12
             else:
                 assert held_other == pytest.approx(prev, abs=1e-12)
                 assert prev - gap - 1e-12 <= held_z <= prev + 1e-12
-            prev = step.carry
+            prev = carry
         checked += 1
     assert checked >= 5
 

@@ -278,9 +278,8 @@ def fake_transcript(observed, true_losses, d):
         config=cfg,
         actions=(0,) * len(observed),
         true_losses=tuple(true_losses),
-        splits=(),
+        components=(),
         observed=tuple(observed),
-        delay_diagnostics=(),
     )
 
 

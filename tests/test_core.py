@@ -74,7 +74,7 @@ def test_game_config_validation():
 
 
 # ---------------------------------------------------------------------------
-# splits and the feedback buffer
+# splits and pending feedback
 
 
 class TestValidateSplit:
@@ -109,30 +109,30 @@ class TestValidateSplit:
             core.validate_split(core.LossSplit(4, comps, 0.5), len(comps))
 
 
-class TestFeedbackBuffer:
+class TestPendingFeedback:
     def test_two_round_worked_example(self):
         # d=2: round 1 splits (0.2, 0.3), round 2 splits (0.4, 0.1).
         # Round 1 shows its immediate 0.2; round 2 shows 0.4 plus the
         # held-over 0.3.
-        buf = core.FeedbackBuffer.empty(2)
+        pending = [0.0]
         s1 = core.LossSplit(1, (0.2, 0.3), 0.5)
-        assert core.observe_aggregate(buf, s1) == pytest.approx(0.2, abs=1e-12)
-        # the buffer advances in place and push_split hands back the same object
-        assert core.push_split(buf, s1) is buf
-        assert buf.pending == [0.3]
+        assert core.observe_aggregate(pending, s1) == pytest.approx(0.2, abs=1e-12)
+        # the pending list advances in place
+        assert core.push_split(pending, s1) is None
+        assert pending == [0.3]
         s2 = core.LossSplit(2, (0.4, 0.1), 0.5)
-        assert core.observe_aggregate(buf, s2) == pytest.approx(0.7, abs=1e-12)
+        assert core.observe_aggregate(pending, s2) == pytest.approx(0.7, abs=1e-12)
 
     def test_d1_buffer_is_inert(self):
-        buf = core.FeedbackBuffer.empty(1)
+        pending = []
         s = core.LossSplit(1, (0.8,), 0.8)
-        assert core.observe_aggregate(buf, s) == 0.8
-        assert core.push_split(buf, s) is buf
+        assert core.observe_aggregate(pending, s) == 0.8
+        core.push_split(pending, s)
+        assert pending == []
 
     def test_push_rejects_width_mismatch(self):
-        buf = core.FeedbackBuffer.empty(3)
         with pytest.raises(core.SplitError):
-            core.push_split(buf, core.LossSplit(1, (0.1, 0.1), 0.2))
+            core.push_split([0.0, 0.0], core.LossSplit(1, (0.1, 0.1), 0.2))
 
     @given(
         d=st.integers(min_value=1, max_value=5),
@@ -146,7 +146,7 @@ class TestFeedbackBuffer:
     def test_conservation_against_queue_model(self, d, raw):
         # Observed totals plus what is still pending must equal everything
         # scheduled.  The oracle is a literal per-round delivery queue.
-        buf = core.FeedbackBuffer.empty(d)
+        pending = [0.0] * (d - 1)
         due = {}
         observed = []
         for t, row in enumerate(raw, start=1):
@@ -154,12 +154,12 @@ class TestFeedbackBuffer:
             split = core.LossSplit(t, comps, math.fsum(comps))
             for s, c in enumerate(comps):
                 due[t + s] = due.get(t + s, 0.0) + c
-            obs = core.observe_aggregate(buf, split)
+            obs = core.observe_aggregate(pending, split)
             assert obs == pytest.approx(due.get(t, 0.0), abs=1e-9)
             observed.append(obs)
-            buf = core.push_split(buf, split)
+            core.push_split(pending, split)
         total_in = math.fsum(math.fsum(row[:d]) for row in raw)
-        leftover = math.fsum(buf.pending)
+        leftover = math.fsum(pending)
         assert math.fsum(observed) + leftover == pytest.approx(total_in, abs=1e-9)
 
 
@@ -273,9 +273,11 @@ def test_engine_rejects_bad_split():
         def split(self, t, actions, loss_value):
             return core.LossSplit(t, (loss_value, loss_value), loss_value)
 
-    with pytest.raises(core.SplitError):
+    # the error names the round, the seed and the pairing
+    with pytest.raises(core.SplitError,
+                       match=r"^round 1: .* \(seed 7, ConstantLoss\+Cheat\)$"):
         core.run_game(
-            make_config(2, d=2),
+            make_config(2, d=2, seed=7),
             lrn.ScriptedLearner([0, 0]),
             adv.ConstantLoss(0.5),
             Cheat(),
@@ -294,7 +296,7 @@ def test_unobserved_mass_bounded_by_span(d):
     assert -1e-9 <= gap <= d - 1 + 1e-9
     # and the gap is exactly the mass still sitting in the pipeline
     tail = math.fsum(
-        tr.splits[t - 1].components[s]
+        tr.components[t - 1][s]
         for t in range(1, horizon + 1)
         for s in range(d)
         if t + s > horizon

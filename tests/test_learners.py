@@ -100,6 +100,24 @@ def test_exp3_learner_protocol_discipline():
     learner.observe(1, a, 0.5)  # now legal
 
 
+def test_exp3_clips_composite_observations_to_one():
+    # an aggregate of components from d = 3 rounds can exceed 1; the
+    # learner updates as if it had seen exactly 1
+    clipped, exact = (lrn.Exp3Learner(2, 10, np.random.default_rng(0)) for _ in range(2))
+    for learner, obs in ((clipped, 1.5), (exact, 1.0)):
+        learner.observe(1, learner.act(1), obs)
+    assert clipped.state == exact.state
+
+    horizon, k, d = 1000, 3, 3
+    for seed in (0, 1, 2):
+        config = core.GameConfig(horizon, core.Discrete(k), d, 0, seed)
+        tr = core.run_game(
+            config, lrn.Exp3Learner(k, horizon, substream(seed, LEARNER_STREAM)),
+            adv.TableLoss.from_seed(k, horizon, seed), adv.SeededSplitDelay(d, horizon, seed),
+        )
+        assert len(tr.actions) == horizon and max(tr.observed) > 1.0
+
+
 def test_exp3_prefers_better_arm():
     rng = np.random.default_rng(5)
     learner = lrn.Exp3Learner(2, 2000, rng)
