@@ -145,7 +145,6 @@ class MultiScaleWalk:
         else:
             self._xi = None
         self._values = None
-        self._vlist = None
 
     def _materialize(self):
         if self._xi is None:
@@ -158,7 +157,6 @@ class MultiScaleWalk:
             _fill_walk(w, self._xi)
             w.flags.writeable = False
             self._values = w
-            self._vlist = w.tolist()
 
     def increment(self, t: int) -> float:
         """xi_t, the innovation attached to round t."""
@@ -172,9 +170,9 @@ class MultiScaleWalk:
         """W_t for 0 <= t <= horizon."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"t={t} outside 0..{self.horizon}")
-        if self._vlist is None:
+        if self._values is None:
             self._materialize()
-        return self._vlist[t]
+        return float(self._values[t])
 
     def values(self) -> np.ndarray:
         """Read-only array of W_0..W_horizon."""
@@ -224,6 +222,11 @@ class GapWalkLoss:
 
     best_arm may be None, meaning no arm is favored and all losses
     coincide.  gap must lie in (0, 1/8].
+
+    Both truncated baselines are tabulated for t = 0..T on first use, so
+    a loss is one range check and one list read.  numpy adds, subtracts
+    and clips elementwise with the same IEEE rounding as scalar Python, so
+    the tables equal the formula in :meth:`masked_baseline` bit for bit.
     """
 
     def __init__(self, walk: MultiScaleWalk, arm_count: int, best_arm, gap: float):
@@ -237,6 +240,11 @@ class GapWalkLoss:
         self.arm_count = int(arm_count)
         self.best_arm = None if best_arm is None else int(best_arm)
         self.gap = float(gap)
+        # last round covered by the tables; -1 until they are built, so the
+        # first query falls through to _tabulate
+        self._top = -1
+        self._high: list = []
+        self._low: list = []
 
     @classmethod
     def from_seed(cls, arm_count, horizon, gap, sigma, master_seed) -> "GapWalkLoss":
@@ -247,22 +255,35 @@ class GapWalkLoss:
         walk = MultiScaleWalk(sigma, horizon, master_seed, WALK_STREAM)
         return cls(walk, arm_count, best, gap)
 
+    def _tabulate(self, t: int) -> None:
+        """Build the baseline tables if needed, then range-check t."""
+        if self._top < 0:
+            base = self.walk.values() + 0.75
+            self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
+            self._low = np.clip(base - self.gap, LOSS_FLOOR, LOSS_CEIL).tolist()
+            self._top = self.walk.horizon
+        if not 0 <= t <= self._top:
+            raise ValueError(f"t={t} outside 0..{self._top}")
+
     def arm_loss(self, t: int, arm) -> float:
         return self.masked_baseline(t, arm == self.best_arm)
 
     def loss(self, t: int, actions: Sequence) -> float:
-        return self.masked_baseline(t, actions[t - 1] == self.best_arm)
+        if not 0 <= t <= self._top:
+            self._tabulate(t)
+        return self._low[t] if actions[t - 1] == self.best_arm else self._high[t]
 
     def masked_baseline(self, t: int, low: bool) -> float:
-        """Truncated walk value, less the gap when ``low``.
+        """Truncated walk value, less the gap when ``low``:
+        clip(W_t + 0.75, 0.5, 1) when high, clip((W_t + 0.75) - gap, 0.5, 1)
+        when low.
 
         This is the baseline the masking delay exposes in each state, and
         also every arm's loss: the hidden arm's is the low one.
         """
-        base = self.walk.value(t) + 0.75
-        if low:
-            base -= self.gap
-        return LOSS_FLOOR if base < LOSS_FLOOR else LOSS_CEIL if base > LOSS_CEIL else base
+        if not 0 <= t <= self._top:
+            self._tabulate(t)
+        return self._low[t] if low else self._high[t]
 
 
 def switch_bound(gap: float, best_arm_pulls) -> float:

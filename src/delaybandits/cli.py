@@ -7,9 +7,12 @@ Result CSVs are UTF-8 with a header row, '.' decimal separator, LF line
 endings, and columns
 seed,T,K,d,m,tau,learner,adversary,policy_regret,pseudo_regret,
 realized_total,switch_count,wall_time_ms in that order, sorted by
-(T, seed).  Every run's master seed is derived from (seed base, repetition
-index), so growing a sweep never reshuffles existing rows, and
-wall_time_ms is the only column that varies between identical invocations.
+(T, seed).  ``switch_count`` counts the rounds in which the played action
+differs from the round before; it is not ``DelayStateMachine.switch_count``,
+which counts masking-state switches and appears in no column.  Every run's
+master seed is derived from (seed base, repetition index), so growing a
+sweep never reshuffles existing rows, and wall_time_ms is the only column
+that varies between identical invocations.
 
 A config file (flag ``--config``) holds flat ``key=value`` lines using the
 long flag names; values given on the command line win.

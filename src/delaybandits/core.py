@@ -18,10 +18,10 @@ same random values the live run used.
 
 Loss adversaries are called as ``loss(t, actions)`` where ``actions`` is a
 sequence with at least t entries whose first t entries are the history
-a_1..a_t.  Implementations must index ``actions[t-1]``, ``actions[t-2]``,
-... rather than relying on ``len(actions)``; the replay routines exploit
-this by swapping single entries of a shared buffer instead of copying
-prefixes.
+a_1..a_t.  Implementations must read only those t entries, indexing
+``actions[t-1]``, ``actions[t-2]``, ... rather than relying on
+``len(actions)``; the replay routines exploit this by overwriting single
+entries of a shared buffer instead of copying prefixes.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional, Protocol, Sequence
 
 import numpy as np
@@ -178,6 +179,16 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
             f"round {split.t}: expected {delay_span} components, got {len(comps)}"
         )
     lv = split.loss_value
+    # Fast accept: a nonnegative component is at most the correctly rounded
+    # sum, so the per-component cap follows from the cap on the sum.  A NaN
+    # fails the comparisons; it, and infinities that make fsum raise, fall
+    # through to the loop below, which decides as it always has.
+    try:
+        total = comps[0] if delay_span == 1 else math.fsum(comps)
+    except (OverflowError, ValueError):
+        total = math.nan
+    if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+        return split
     clamped = None
     for i, c in enumerate(comps):
         if c < 0.0:
@@ -408,12 +419,15 @@ def _replay_realized(transcript: Transcript, loss_adversary) -> None:
     not replay-deterministic and every counterfactual would be garbage."""
     actions = list(transcript.actions)
     losses = transcript.true_losses
-    loss_fn = loss_adversary.loss
-    for t in range(1, len(actions) + 1):
-        if loss_fn(t, actions) != losses[t - 1]:
+    T = len(actions)
+    replayed = tuple(map(loss_adversary.loss, range(1, T + 1), repeat(actions, T)))
+    if replayed == losses:
+        return
+    for t, (again, recorded) in enumerate(zip(replayed, losses), 1):
+        if again != recorded:
             raise ReplayError(
-                f"round {t}: replayed loss {loss_fn(t, actions)!r} != recorded "
-                f"{losses[t - 1]!r}; adversary randomness is not replay-stable"
+                f"round {t}: replayed loss {again!r} != recorded "
+                f"{recorded!r}; adversary randomness is not replay-stable"
             )
 
 
@@ -435,11 +449,8 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
 
     T = transcript.horizon
     loss_fn = loss_adversary.loss
-    totals = []
-    for y in comparators:
-        hist = [y] * T
-        vals = [loss_fn(t, hist) for t in range(1, T + 1)]
-        totals.append(math.fsum(vals))
+    rounds = range(1, T + 1)
+    totals = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
     realized = transcript.realized_total
     b = _best(totals)
     return RegretReport(
@@ -467,16 +478,17 @@ def pseudo_regret(transcript: Transcript, loss_adversary, comparators=None) -> f
 
     T = transcript.horizon
     loss_fn = loss_adversary.loss
-    realized_actions = list(transcript.actions)
     totals = []
     for y in comparators:
-        hist = list(realized_actions)
+        # walk t downwards: rounds after t already hold y, and loss(t, .)
+        # reads rounds 1..t only, so nothing needs restoring; fsum is
+        # correctly rounded, so the order of the terms does not matter
+        hist = list(transcript.actions)
         vals = []
-        for t in range(1, T + 1):
-            saved = hist[t - 1]
+        append = vals.append
+        for t in range(T, 0, -1):
             hist[t - 1] = y
-            vals.append(loss_fn(t, hist))
-            hist[t - 1] = saved
+            append(loss_fn(t, hist))
         totals.append(math.fsum(vals))
     return transcript.realized_total - totals[_best(totals)]
 

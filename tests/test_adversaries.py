@@ -112,6 +112,7 @@ def test_walk_query_order_is_irrelevant():
     a = adv.MultiScaleWalk(0.3, 100, master_seed=42)
     b = adv.MultiScaleWalk(0.3, 100, master_seed=42)
     mid = a.value(57)
+    assert type(mid) is float  # not a numpy scalar
     assert b.values()[57] == mid
     assert a.value(57) == mid  # memoized re-query
     assert np.array_equal(a.values(), b.values())
@@ -131,8 +132,9 @@ def test_walk_rejects_bad_args():
     with pytest.raises(ValueError):
         adv.MultiScaleWalk(0.1, 4, increments=[0.0, 0.0])
     w = adv.MultiScaleWalk(0.1, 4, master_seed=0)
-    with pytest.raises(ValueError):
-        w.value(5)
+    for t in (-1, 5):
+        with pytest.raises(ValueError, match=f"t={t} outside 0..4"):
+            w.value(t)
     with pytest.raises(ValueError):
         w.increment(0)
 
@@ -221,6 +223,58 @@ def test_gap_walk_loss_truncates_both_ends():
 def test_gap_walk_loss_no_hidden_arm():
     loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=None, gap=0.05)
     assert loss.arm_loss(1, 0) == loss.arm_loss(1, 1) == 0.75
+
+
+def _scalar_baseline(w, gap, low):
+    base = w + 0.75
+    if low:
+        base -= gap
+    return 0.5 if base < 0.5 else 1.0 if base > 1.0 else base
+
+
+#: increments whose walks cross both truncation edges in both states at gap 0.1
+EDGE_INCREMENTS = {1: [0.5], 3: [0.5, -0.3, 0.33]}
+
+
+@pytest.mark.parametrize("horizon", [1, 3, 1000, 2 ** 16])
+def test_gap_walk_tables_match_scalar_formula_bit_for_bit(horizon):
+    gap = 0.1
+    xi = EDGE_INCREMENTS.get(horizon)
+    if xi is None:
+        xi = np.random.default_rng(horizon).normal(0.0, 0.3, horizon)
+    walk = adv.MultiScaleWalk(0.3, horizon, increments=xi)
+    loss = adv.GapWalkLoss(walk, 3, best_arm=1, gap=gap)
+    best, other = [1] * horizon, [2] * horizon
+    edges = set()
+    for t in range(horizon + 1):
+        for low in (False, True):
+            want = _scalar_baseline(walk.value(t), gap, low)
+            got = loss.masked_baseline(t, low)
+            assert type(got) is float and got.hex() == want.hex(), (t, low)
+            if want in (0.5, 1.0):
+                edges.add((want, low))
+        if t:
+            assert loss.loss(t, best).hex() == loss.arm_loss(t, 1).hex() \
+                == _scalar_baseline(walk.value(t), gap, True).hex()
+            assert loss.loss(t, other).hex() == loss.arm_loss(t, 0).hex() \
+                == _scalar_baseline(walk.value(t), gap, False).hex()
+    if horizon >= 3:
+        assert edges == {(0.5, False), (0.5, True), (1.0, False), (1.0, True)}
+
+
+@pytest.mark.parametrize("t", [-1, 5])
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+def test_gap_walk_loss_rejects_rounds_outside_walk(t, warm):
+    loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.1)
+    if warm:  # tables already built
+        assert loss.loss(1, [0]) == pytest.approx(0.65, abs=1e-15)
+    message = f"t={t} outside 0..4"
+    with pytest.raises(ValueError, match=message):
+        loss.loss(t, [0] * 6)
+    with pytest.raises(ValueError, match=message):
+        loss.masked_baseline(t, True)
+    with pytest.raises(ValueError, match=message):
+        loss.arm_loss(t, 1)
 
 
 def test_gap_walk_loss_validation():

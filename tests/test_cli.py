@@ -5,8 +5,10 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from delaybandits import cli
+from delaybandits import cli, core
 from delaybandits.seeding import run_seed
 
 
@@ -176,6 +178,27 @@ def cli_run_lines(tmp_path) -> list:
                 rows = list(csv.reader(fh))[1:]
             lines += [",".join(c for i, c in enumerate(r) if i != drop) for r in rows]
     return lines
+
+
+@given(
+    pairing=st.sampled_from(CLI_PAIRINGS),
+    learner=st.sampled_from(cli.LEARNERS),
+    horizon=st.integers(min_value=3, max_value=300),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_same_pairing_and_seed_replay_identically(pairing, learner, horizon, seed):
+    adversary, delay, flags = pairing
+    options = dict(zip(flags[::2], flags[1::2]))
+    spec = cli.ExperimentSpec(adversary=adversary, delay=delay, learner=learner,
+                              horizons=(horizon,), delay_span=int(options.get("--d", 0)),
+                              memory_bound=int(options.get("--m", 0)))
+    runs = []
+    for _ in range(2):
+        config, lrn, loss, dly, _ = cli._build_run(spec, horizon, seed)
+        tr = core.run_game(config, lrn, loss, dly)
+        runs.append((tr, core.policy_regret(tr, loss)))
+    assert runs[0] == runs[1]
 
 
 def test_every_cli_pairing_matches_golden(tmp_path, capsys):

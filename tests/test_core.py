@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
@@ -107,6 +107,64 @@ class TestValidateSplit:
     def test_nan_component_rejected_with_round(self, comps):
         with pytest.raises(core.SplitError, match="round 4"):
             core.validate_split(core.LossSplit(4, comps, 0.5), len(comps))
+
+
+ATOL = core.SPLIT_ATOL
+#: what a perturbed component is set to; the named kinds depend on the split
+PERTURBATIONS = (math.nan, -0.0, 0.0, math.inf, -math.inf, 1e308,
+                 "tiny_negative", "above_cap", "jitter")
+
+
+@st.composite
+def adversarial_splits(draw):
+    """A near-valid split of width 1..33 with up to three components
+    overwritten by values at or past the edges of what validation accepts."""
+    d = draw(st.integers(min_value=1, max_value=33))
+    lv = draw(st.one_of(
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.0, max_value=ATOL, exclude_max=True),
+        st.sampled_from([0.0, 1.0, math.nan, math.inf, 1e308]),
+    ))
+    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                            min_size=d, max_size=d))
+    total = math.fsum(weights)
+    comps = [lv * w / total if total > 0.0 else lv / d for w in weights]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=d - 1))
+        kind = draw(st.sampled_from(PERTURBATIONS))
+        if kind == "tiny_negative":
+            kind = draw(st.floats(min_value=-ATOL, max_value=0.0, exclude_max=True))
+        elif kind == "above_cap":
+            kind = math.nextafter(lv + ATOL, math.inf) + draw(
+                st.floats(min_value=0.0, max_value=2 * ATOL))
+        elif kind == "jitter":
+            kind = comps[i] + draw(st.floats(min_value=-2 * ATOL, max_value=2 * ATOL))
+        comps[i] = kind
+    return d, tuple(comps), lv
+
+
+def _split_outcome(check, d, comps, lv):
+    try:
+        out = check(core.LossSplit(9, comps, lv), d)
+    except Exception as e:  # the kind and the text must both agree
+        return type(e).__name__, str(e)
+    return "ok", tuple(float.hex(c) for c in out.components)
+
+
+@given(adversarial_splits())
+@example((2, (1e308, 1e308), 0.5))       # fsum overflows; the loop says "exceeds loss"
+@example((2, (1e308, 1e308), math.inf))  # both leak fsum's OverflowError
+@example((2, (math.inf, -math.inf), 0.5))
+@example((3, (math.nan, 0.25, 0.25), 0.5))
+@example((3, (0.25, 0.25, math.nan), 0.5))
+@example((2, (-0.0, 0.5), 0.5))
+@example((2, (-ATOL, 0.5 + ATOL), 0.5))
+@example((1, (5e-13,), 0.0))
+@settings(max_examples=600, deadline=None)
+def test_validate_split_matches_component_loop(case):
+    d, comps, lv = case
+    assert (_split_outcome(core.validate_split, d, comps, lv)
+            == _split_outcome(util.reference_validate_split, d, comps, lv))
 
 
 class TestPendingFeedback:
@@ -355,8 +413,61 @@ def test_replay_drift_detected():
 
     flaky = Flaky()
     tr = core.run_game(make_config(4), lrn.ScriptedLearner([0] * 4), flaky, adv.NoDelay())
-    with pytest.raises(core.ReplayError):
+    with pytest.raises(core.ReplayError, match=r"round 3: replayed loss 0\.5 != recorded 0\.25"):
         core.policy_regret(tr, flaky)
+
+
+class CountingLoss:
+    """Counts the loss calls made through it."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = 0
+
+    def loss(self, t, actions):
+        self.calls += 1
+        return self.inner.loss(t, actions)
+
+
+@pytest.mark.parametrize("arms", [2, 3])
+def test_regret_replay_calls_loss_2k_plus_1_times_per_round(arms):
+    # one realized replay, then K constant and K one-swap comparators
+    horizon = 50
+    seed = run_seed(5, arms)
+    counting = CountingLoss(adv.TableLoss.from_seed(arms, horizon, seed))
+    learner = lrn.UniformRandomLearner(arms, substream(seed, LEARNER_STREAM))
+    tr = core.run_game(make_config(horizon, arms=arms, seed=seed), learner, counting,
+                       adv.NoDelay())
+    counting.calls = 0
+    core.policy_regret(tr, counting)
+    assert counting.calls == (2 * arms + 1) * horizon
+
+
+def _gapwalk_case():
+    loss = adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 300, master_seed=3), 3, best_arm=2, gap=0.1)
+    return loss, adv.DelayStateMachine(loss), 3
+
+
+REPLAY_CASES = {
+    "lagged": lambda: (adv.LaggedLoss(2), adv.NoDelay(), 2),
+    "paritytrap": lambda: (adv.ParityTrapLoss(1), adv.ParityDelay(), 2),
+    "gapwalk": _gapwalk_case,
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_CASES))
+def test_regret_replay_equals_swap_and_restore_oracle(name):
+    loss, delay, arms = REPLAY_CASES[name]()
+    horizon = 300
+    seed = run_seed(6, arms)
+    learner = lrn.UniformRandomLearner(arms, substream(seed, LEARNER_STREAM))
+    config = make_config(horizon, arms=arms, d=delay.delay_span, seed=seed)
+    tr = core.run_game(config, learner, loss, delay)
+    policy, pseudo = util.swap_and_restore_regret(loss, tr.actions, list(range(arms)))
+    report = core.policy_regret(tr, loss)
+    assert report.policy_regret == policy
+    assert report.pseudo_regret == pseudo
+    assert core.pseudo_regret(tr, loss) == pseudo
 
 
 def test_parity_trap_all_sequences_at_t4():
@@ -416,6 +527,32 @@ def test_lagged_loss_passes_correct_claim():
         rng=np.random.default_rng(2),
     )
     assert res.passed
+
+
+@given(
+    lag=st.integers(min_value=1, max_value=4),
+    memory_bound=st.integers(min_value=0, max_value=6),
+    arms=st.integers(min_value=2, max_value=3),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_probe_flags_lagged_loss_exactly_when_window_is_short(lag, memory_bound, arms, seed):
+    horizon = 24
+    loss = adv.LaggedLoss(lag)
+    res = core.check_bounded_memory(
+        loss, memory_bound, action_space=core.Discrete(arms), horizon=horizon,
+        rng=np.random.default_rng(seed),
+    )
+    if memory_bound >= lag:
+        assert res.passed and res.witness is None
+        return
+    assert not res.passed
+    t, hist, perturbed, base, other = res.witness
+    assert base != other
+    assert loss.loss(t, list(hist)) == base
+    assert loss.loss(t, list(perturbed)) == other
+    # the last memory_bound + 1 actions, the claimed window, agree
+    assert hist[t - 1 - memory_bound:] == perturbed[t - 1 - memory_bound:]
 
 
 def test_parity_trap_is_one_bounded():

@@ -12,6 +12,8 @@ import math
 import numpy as np
 from scipy.stats import norm
 
+from delaybandits.core import SPLIT_ATOL, SplitError
+
 
 def brute_force_width(parent_rule, horizon: int) -> int:
     """Literal maximum, over cut times in [1, horizon], of the number of
@@ -52,6 +54,62 @@ def naive_one_swap_regret(loss_adversary, actions, comparators):
             total += loss_adversary.loss(t, hist)
         totals.append(total)
     return realized - min(totals)
+
+
+def reference_validate_split(split, delay_span):
+    """The component-by-component split check that ``core.validate_split``
+    must agree with: same returned components, or the same ``SplitError``
+    message."""
+    comps = split.components
+    if len(comps) != delay_span:
+        raise SplitError(
+            f"round {split.t}: expected {delay_span} components, got {len(comps)}"
+        )
+    lv = split.loss_value
+    clamped = None
+    for i, c in enumerate(comps):
+        if c < 0.0:
+            if c < -SPLIT_ATOL:
+                raise SplitError(f"round {split.t}: component {i} is negative ({c!r})")
+            if clamped is None:
+                clamped = list(comps)
+            clamped[i] = 0.0
+        elif c > lv + SPLIT_ATOL:
+            raise SplitError(
+                f"round {split.t}: component {i} ({c!r}) exceeds loss {lv!r}"
+            )
+    if clamped is not None:
+        split.components = comps = tuple(clamped)
+    total = comps[0] if len(comps) == 1 else math.fsum(comps)
+    if not abs(total - lv) <= SPLIT_ATOL:
+        raise SplitError(
+            f"round {split.t}: components sum to {total!r}, loss is {lv!r}"
+        )
+    return split
+
+
+def swap_and_restore_regret(loss_adversary, actions, comparators):
+    """(policy regret, pseudo regret) with every total summed by
+    ``math.fsum``: constant histories for the policy comparators, and for
+    the pseudo comparators a forward pass over one buffer that swaps in
+    the comparator at round t and puts the realized action back after."""
+    horizon = len(actions)
+    realized = math.fsum(loss_adversary.loss(t, list(actions)) for t in range(1, horizon + 1))
+    constant = [
+        math.fsum(loss_adversary.loss(t, [y] * horizon) for t in range(1, horizon + 1))
+        for y in comparators
+    ]
+    swapped = []
+    for y in comparators:
+        hist = list(actions)
+        vals = []
+        for t in range(1, horizon + 1):
+            saved = hist[t - 1]
+            hist[t - 1] = y
+            vals.append(loss_adversary.loss(t, hist))
+            hist[t - 1] = saved
+        swapped.append(math.fsum(vals))
+    return realized - min(constant), realized - min(swapped)
 
 
 def replay_state_machine(loss, actions):
