@@ -81,56 +81,3 @@ from .analysis import (
 from .seeding import run_seed, substream
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "ActionError",
-    "CensoredGaussian",
-    "ConvexBall",
-    "DelayAudit",
-    "DelayStateMachine",
-    "Discrete",
-    "Exp3Learner",
-    "FkmLearner",
-    "GameConfig",
-    "GapWalkLoss",
-    "LastSlotDelay",
-    "LossSplit",
-    "MemoryCheckResult",
-    "MiniBatchWrapper",
-    "MultiScaleWalk",
-    "NoDelay",
-    "ParityDelay",
-    "ParityTrapLoss",
-    "RegretReport",
-    "ReplayError",
-    "ScalingFit",
-    "ScriptedLearner",
-    "SimulationError",
-    "SplitError",
-    "TableLoss",
-    "Transcript",
-    "UniformRandomLearner",
-    "audit_delay_accounting",
-    "censored_kl",
-    "check_bounded_memory",
-    "choose_tau",
-    "choose_tau_bco",
-    "drift_threshold",
-    "fit_exponent",
-    "gap_walk_defaults",
-    "gaussian_kl",
-    "observation_tv_bound",
-    "observe_aggregate",
-    "pinsker_tv",
-    "policy_regret",
-    "pseudo_regret",
-    "push_split",
-    "run_game",
-    "run_seed",
-    "substream",
-    "switch_bound",
-    "validate_split",
-    "walk_parent",
-    "walk_value_matrix",
-    "width",
-]

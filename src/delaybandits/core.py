@@ -30,7 +30,7 @@ import gc
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Protocol, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -268,41 +268,19 @@ class Transcript:
 
 
 # ---------------------------------------------------------------------------
-# pluggable components
-
-
-class Learner(Protocol):
-    def act(self, t: int):
-        """Action for round t, computed from past observations only."""
-
-    def observe(self, t: int, action, observed: float) -> None:
-        """Receive the aggregate observation for round t."""
-
-
-class LossAdversary(Protocol):
-    def loss(self, t: int, actions: Sequence) -> float:
-        """True loss of round t given the action history prefix."""
-
-
-class DelayAdversary(Protocol):
-    delay_span: int
-
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
-        """Split round t's realized loss into delayed components."""
-
-
-# ---------------------------------------------------------------------------
 # the game loop
 
 
 def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Transcript:
     """Play the full game and return its transcript.
 
-    Enforces per round: the action lies in the action space, the loss lies
-    in [0, 1], the split is valid for the configured delay span, and the
-    learner only hears about round t after acting in round t.  A
-    :class:`SimulationError` raised in a round is re-raised as the same
-    type with ``(seed <master_seed>, <LossClass>+<DelayClass>)`` appended.
+    Enforces per round: the action lies in the action space, the loss is a
+    real number in [0, 1], the delay adversary returns a :class:`LossSplit`
+    of round t carrying that loss, the split is valid for the configured
+    delay span, and the learner only hears about round t after acting in
+    round t.  A :class:`SimulationError` raised in a round is re-raised as
+    the same type with ``(seed <master_seed>, <LossClass>+<DelayClass>)``
+    appended.
 
     The cyclic garbage collector is paused while the rounds are played and
     restored afterwards.  Each round keeps a new component tuple alive, so
@@ -350,9 +328,19 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                 raise ActionError(f"round {t}: action {a!r} outside the action space")
             append_action(a)
             lv = loss_fn(t, actions)
-            if not 0.0 <= lv <= 1.0:
+            try:
+                in_range = 0.0 <= lv <= 1.0
+            except (TypeError, ValueError):
+                in_range = False
+            if not in_range:
                 raise LossRangeError(f"round {t}: loss {lv!r} outside [0, 1]")
-            split = validate_split(split_fn(t, actions, lv), d)
+            split = split_fn(t, actions, lv)
+            if not isinstance(split, LossSplit) or split.t != t or split.loss_value != lv:
+                raise SplitError(
+                    f"round {t}: delay adversary returned {split!r}, "
+                    f"not a LossSplit of round {t} with loss {lv!r}"
+                )
+            split = validate_split(split, d)
             obs = observe_aggregate(pending, split)
             push_split(pending, split)
             observe(t, a, obs)

@@ -12,7 +12,6 @@ and ``observe(t, action, observed)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -22,98 +21,71 @@ import numpy as np
 # exponential weights over arms
 
 
-@dataclass
-class Exp3State:
-    """Exponential-weights state: cumulative importance-weighted loss
-    estimates and the distribution they induce."""
-
-    arm_count: int
-    learning_rate: float
-    cum_loss_est: list
-    probs: list
-
-
-def exp3_init(arm_count: int, rounds: int) -> Exp3State:
-    """Fresh uniform state tuned for a known number of update rounds.
-
-    learning_rate = sqrt(2 ln K / (rounds * K)).
-    """
-    if arm_count < 2:
-        raise ValueError("arm_count must be >= 2")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    eta = math.sqrt(2.0 * math.log(arm_count) / (rounds * arm_count))
-    return Exp3State(
-        arm_count=arm_count,
-        learning_rate=eta,
-        cum_loss_est=[0.0] * arm_count,
-        probs=[1.0 / arm_count] * arm_count,
-    )
-
-
-def exp3_act(state: Exp3State, rng: np.random.Generator) -> tuple:
-    """Sample an arm from the current distribution; returns (arm, prob)."""
-    u = rng.random()
-    acc = 0.0
-    probs = state.probs
-    last = state.arm_count - 1
-    for arm in range(last):
-        acc += probs[arm]
-        if u < acc:
-            return arm, probs[arm]
-    return last, probs[last]
-
-
-def exp3_update(state: Exp3State, arm: int, loss: float, probability: float) -> Exp3State:
-    """Credit ``loss / probability`` to the chosen arm and refresh the
-    distribution.
-
-    The softmax is computed against the running minimum estimate, so the
-    best arm's weight is exactly 1 and the distribution stays strictly
-    positive and normalized for any realistic estimate spread.
-    """
-    if not 0.0 <= loss <= 1.0:
-        raise ValueError(f"loss {loss!r} outside [0, 1]")
-    if not 0.0 < probability <= 1.0:
-        raise ValueError(f"probability {probability!r} outside (0, 1]")
-    if not 0 <= arm < state.arm_count:
-        raise ValueError(f"arm {arm} out of range")
-    cum = state.cum_loss_est
-    cum[arm] += loss / probability
-    eta = state.learning_rate
-    m = min(cum)
-    weights = [math.exp(-eta * (c - m)) for c in cum]
-    z = math.fsum(weights)
-    state.probs = [w / z for w in weights]
-    return state
-
-
 class Exp3Learner:
-    """Game-protocol adapter around the exponential-weights state.
+    """Exponential weights over ``arm_count`` arms with importance-weighted
+    loss estimates (EXP3).
 
     ``rounds`` is the number of feedback rounds the learner will see: the
-    horizon when playing raw, the number of batches when wrapped.
+    horizon when playing raw, the number of batches when wrapped.  It sets
+    learning_rate = sqrt(2 ln K / (rounds * K)).
 
     Composite feedback sums components of up to d rounds, so an observation
     may exceed 1; ``observe`` clips it to 1, as :class:`MiniBatchWrapper`
     clips its batch averages, to keep EXP3's loss range [0, 1].
     """
 
+    __slots__ = ("arm_count", "learning_rate", "cum_loss_est", "probs", "rng", "pending_prob")
+
     def __init__(self, arm_count: int, rounds: int, rng: np.random.Generator):
-        self.state = exp3_init(arm_count, rounds)
+        if arm_count < 2:
+            raise ValueError("arm_count must be >= 2")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        self.arm_count = arm_count
+        self.learning_rate = math.sqrt(2.0 * math.log(arm_count) / (rounds * arm_count))
+        self.cum_loss_est = [0.0] * arm_count
+        self.probs = [1.0 / arm_count] * arm_count
         self.rng = rng
-        self._pending_prob: Optional[float] = None
+        self.pending_prob: Optional[float] = None
 
     def act(self, t: int) -> int:
-        arm, prob = exp3_act(self.state, self.rng)
-        self._pending_prob = prob
-        return arm
+        """Sample an arm from the current distribution by inverse CDF."""
+        u = self.rng.random()
+        acc = 0.0
+        probs = self.probs
+        last = self.arm_count - 1
+        for arm in range(last):
+            acc += probs[arm]
+            if u < acc:
+                self.pending_prob = probs[arm]
+                return arm
+        self.pending_prob = probs[last]
+        return last
 
     def observe(self, t: int, action, observed: float) -> None:
-        if self._pending_prob is None:
+        """Credit ``loss / probability`` to the played arm and refresh the
+        distribution.
+
+        The softmax is computed against the running minimum estimate, so the
+        best arm's weight is exactly 1 and the distribution stays strictly
+        positive and normalized for any realistic estimate spread.
+        """
+        prob = self.pending_prob
+        if prob is None:
             raise RuntimeError("observe() before act()")
-        exp3_update(self.state, action, min(observed, 1.0), self._pending_prob)
-        self._pending_prob = None
+        loss = min(observed, 1.0)
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"loss {loss!r} outside [0, 1]")
+        if not 0 <= action < self.arm_count:
+            raise ValueError(f"arm {action} out of range")
+        cum = self.cum_loss_est
+        cum[action] += loss / prob
+        eta = self.learning_rate
+        m = min(cum)
+        weights = [math.exp(-eta * (c - m)) for c in cum]
+        z = math.fsum(weights)
+        self.probs = [w / z for w in weights]
+        self.pending_prob = None
 
 
 # ---------------------------------------------------------------------------
@@ -221,85 +193,18 @@ class MiniBatchWrapper:
 # one-point gradient learner on a ball
 
 
-@dataclass
-class FkmState:
-    """State of the spherical-smoothing gradient learner."""
-
-    dimension: int
-    radius: float
-    exploration: float  # offset of the probe point from the iterate
-    step_size: float
-    point: np.ndarray
-    pending_direction: Optional[np.ndarray] = None
-
-
-def fkm_init(
-    dimension: int,
-    radius: float,
-    rounds: int,
-    exploration: Optional[float] = None,
-    step_size: Optional[float] = None,
-) -> FkmState:
-    """Fresh state at the center with rounds^(-1/4) exploration and
-    rounds^(-3/4) step size unless overridden."""
-    if dimension < 1:
-        raise ValueError("dimension must be >= 1")
-    if not radius > 0:
-        raise ValueError("radius must be positive")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
-    if exploration is None:
-        exploration = min(0.5 * radius, radius * rounds ** -0.25)
-    if step_size is None:
-        step_size = (radius * radius / dimension) * rounds ** -0.75
-    if not 0.0 < exploration < radius:
-        raise ValueError(f"exploration must lie in (0, radius), got {exploration}")
-    if not step_size > 0:
-        raise ValueError("step_size must be positive")
-    return FkmState(
-        dimension=dimension,
-        radius=float(radius),
-        exploration=float(exploration),
-        step_size=float(step_size),
-        point=np.zeros(dimension),
-    )
-
-
-def fkm_act(state: FkmState, rng: np.random.Generator) -> np.ndarray:
-    """Probe point: the iterate plus a uniform sphere direction scaled by
-    the exploration radius.  Stays inside the ball because the iterate is
-    kept in the shrunken ball of radius (radius - exploration)."""
-    v = rng.normal(size=state.dimension)
-    n = float(np.linalg.norm(v))
-    while n == 0.0:  # measure-zero; regenerate rather than divide by zero
-        v = rng.normal(size=state.dimension)
-        n = float(np.linalg.norm(v))
-    u = v / n
-    state.pending_direction = u
-    return state.point + state.exploration * u
-
-
-def fkm_update(state: FkmState, observed_loss: float) -> FkmState:
-    """Descend along the one-point gradient estimate
-    (dimension / exploration) * loss * direction, then project back onto
-    the shrunken ball."""
-    if state.pending_direction is None:
-        raise RuntimeError("fkm_update() before fkm_act()")
-    if not 0.0 <= observed_loss <= 1.0:
-        raise ValueError(f"observed_loss {observed_loss!r} outside [0, 1]")
-    grad = (state.dimension / state.exploration) * observed_loss * state.pending_direction
-    x = state.point - state.step_size * grad
-    limit = state.radius - state.exploration
-    n = float(np.linalg.norm(x))
-    if n > limit:
-        x = x * (limit / n)
-    state.point = x
-    state.pending_direction = None
-    return state
-
-
 class FkmLearner:
-    """Game-protocol adapter for the one-point gradient learner."""
+    """Spherical-smoothing gradient descent on a ball (one-point gradient
+    estimates).
+
+    Starts at the center with rounds^(-1/4) exploration (the offset of the
+    probe point from the iterate, at most half the radius) and
+    rounds^(-3/4) step size unless overridden.  Observations above 1 are
+    clipped to 1, as in :class:`Exp3Learner`.
+    """
+
+    __slots__ = ("dimension", "radius", "exploration", "step_size", "point",
+                 "pending_direction", "rng")
 
     def __init__(
         self,
@@ -310,14 +215,58 @@ class FkmLearner:
         exploration: Optional[float] = None,
         step_size: Optional[float] = None,
     ):
-        self.state = fkm_init(dimension, radius, rounds, exploration, step_size)
+        if dimension < 1:
+            raise ValueError("dimension must be >= 1")
+        if not radius > 0:
+            raise ValueError("radius must be positive")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        if exploration is None:
+            exploration = min(0.5 * radius, radius * rounds ** -0.25)
+        if step_size is None:
+            step_size = (radius * radius / dimension) * rounds ** -0.75
+        if not 0.0 < exploration < radius:
+            raise ValueError(f"exploration must lie in (0, radius), got {exploration}")
+        if not step_size > 0:
+            raise ValueError("step_size must be positive")
+        self.dimension = dimension
+        self.radius = float(radius)
+        self.exploration = float(exploration)
+        self.step_size = float(step_size)
+        self.point = np.zeros(dimension)
+        self.pending_direction: Optional[np.ndarray] = None
         self.rng = rng
 
     def act(self, t: int) -> np.ndarray:
-        return fkm_act(self.state, self.rng)
+        """Probe point: the iterate plus a uniform sphere direction scaled by
+        the exploration radius.  Stays inside the ball because the iterate is
+        kept in the shrunken ball of radius (radius - exploration)."""
+        v = self.rng.normal(size=self.dimension)
+        n = float(np.linalg.norm(v))
+        while n == 0.0:  # measure-zero; regenerate rather than divide by zero
+            v = self.rng.normal(size=self.dimension)
+            n = float(np.linalg.norm(v))
+        u = v / n
+        self.pending_direction = u
+        return self.point + self.exploration * u
 
     def observe(self, t: int, action, observed: float) -> None:
-        fkm_update(self.state, observed)
+        """Descend along the one-point gradient estimate
+        (dimension / exploration) * loss * direction, then project back onto
+        the shrunken ball."""
+        if self.pending_direction is None:
+            raise RuntimeError("observe() before act()")
+        loss = min(observed, 1.0)
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"loss {loss!r} outside [0, 1]")
+        grad = (self.dimension / self.exploration) * loss * self.pending_direction
+        x = self.point - self.step_size * grad
+        limit = self.radius - self.exploration
+        n = float(np.linalg.norm(x))
+        if n > limit:
+            x = x * (limit / n)
+        self.point = x
+        self.pending_direction = None
 
 
 # ---------------------------------------------------------------------------

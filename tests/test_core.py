@@ -342,6 +342,43 @@ def test_engine_rejects_bad_split():
         )
 
 
+class StrLoss:
+    def loss(self, t, actions):
+        return "0.5"
+
+
+class Forged:
+    """Delay adversary returning whatever ``make(t, loss_value)`` builds."""
+
+    def __init__(self, delay_span, make):
+        self.delay_span = delay_span
+        self.make = make
+
+    def split(self, t, actions, loss_value):
+        return self.make(t, loss_value)
+
+
+@pytest.mark.parametrize("loss, d, make, error", [
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: core.LossSplit(t + 5, (0.0,), 0.0),
+     core.SplitError),
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: core.LossSplit(t + 5, (lv,), lv),
+     core.SplitError),
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: core.LossSplit(t, (0.0,), 0.0),
+     core.SplitError),
+    (adv.ConstantLoss(0.5), 2, lambda t, lv: core.LossSplit(t, (1e308, 1e308), math.inf),
+     core.SplitError),
+    (StrLoss(), 1, lambda t, lv: core.LossSplit(t, (lv,), lv), core.LossRangeError),
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: (lv,), core.SplitError),
+], ids=["other-round-and-loss", "other-round", "other-loss", "overflow", "str-loss",
+        "plain-tuple"])
+def test_engine_rejects_split_not_of_its_round_and_loss(loss, d, make, error):
+    pairing = rf"{type(loss).__name__}\+Forged"
+    with pytest.raises(error, match=rf"^round 1: .* \(seed 7, {pairing}\)$"):
+        core.run_game(
+            make_config(4, d=d, seed=7), lrn.ScriptedLearner([0] * 4), loss, Forged(d, make)
+        )
+
+
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
 def test_unobserved_mass_bounded_by_span(d):
     horizon = 200

@@ -29,48 +29,48 @@ class FixedRng:
 
 
 def test_exp3_init_learning_rate():
-    st_ = lrn.exp3_init(4, 1000)
-    assert st_.learning_rate == pytest.approx(
+    learner = lrn.Exp3Learner(4, 1000, FixedRng([]))
+    assert learner.learning_rate == pytest.approx(
         math.sqrt(2 * math.log(4) / (1000 * 4)), rel=1e-15
     )
-    assert st_.probs == [0.25] * 4
-    assert st_.cum_loss_est == [0.0] * 4
+    assert learner.probs == [0.25] * 4
+    assert learner.cum_loss_est == [0.0] * 4
 
 
 def test_exp3_init_validation():
     with pytest.raises(ValueError):
-        lrn.exp3_init(1, 10)
+        lrn.Exp3Learner(1, 10, FixedRng([]))
     with pytest.raises(ValueError):
-        lrn.exp3_init(2, 0)
+        lrn.Exp3Learner(2, 0, FixedRng([]))
 
 
 def test_exp3_act_inverse_cdf():
-    st_ = lrn.exp3_init(2, 100)
-    arm, prob = lrn.exp3_act(st_, FixedRng([0.3]))
-    assert (arm, prob) == (0, 0.5)
-    arm, prob = lrn.exp3_act(st_, FixedRng([0.7]))
-    assert (arm, prob) == (1, 0.5)
+    learner = lrn.Exp3Learner(2, 100, FixedRng([0.3, 0.7]))
+    assert (learner.act(1), learner.pending_prob) == (0, 0.5)
+    assert (learner.act(2), learner.pending_prob) == (1, 0.5)
 
 
 def test_exp3_single_update_softmax_arithmetic():
-    st_ = lrn.exp3_init(2, 100)
-    eta = st_.learning_rate
-    lrn.exp3_update(st_, 0, 0.5, 0.5)
-    assert st_.cum_loss_est == [1.0, 0.0]
+    learner = lrn.Exp3Learner(2, 100, FixedRng([0.3]))
+    eta = learner.learning_rate
+    learner.observe(1, learner.act(1), 0.5)  # arm 0 at probability 0.5
+    assert learner.cum_loss_est == [1.0, 0.0]
     w0 = math.exp(-eta)
     z = w0 + 1.0
-    assert st_.probs[0] == pytest.approx(w0 / z, rel=1e-15)
-    assert st_.probs[1] == pytest.approx(1.0 / z, rel=1e-15)
+    assert learner.probs[0] == pytest.approx(w0 / z, rel=1e-15)
+    assert learner.probs[1] == pytest.approx(1.0 / z, rel=1e-15)
 
 
 def test_exp3_update_validation():
-    st_ = lrn.exp3_init(2, 100)
+    learner = lrn.Exp3Learner(2, 100, FixedRng([0.3]))
+    learner.act(1)
+    for bad in (-0.5, math.nan):
+        with pytest.raises(ValueError):
+            learner.observe(1, 0, bad)
     with pytest.raises(ValueError):
-        lrn.exp3_update(st_, 0, 1.5, 0.5)
-    with pytest.raises(ValueError):
-        lrn.exp3_update(st_, 0, 0.5, 0.0)
-    with pytest.raises(ValueError):
-        lrn.exp3_update(st_, 5, 0.5, 0.5)
+        learner.observe(1, 5, 0.5)
+    # a rejected observation leaves the learner as it was
+    assert learner.cum_loss_est == [0.0, 0.0] and learner.probs == [0.5, 0.5]
 
 
 @given(
@@ -85,11 +85,14 @@ def test_exp3_update_validation():
 )
 @settings(max_examples=100, deadline=None)
 def test_exp3_distribution_stays_strictly_positive(updates):
-    st_ = lrn.exp3_init(3, 50)
-    for arm, loss, prob in updates:
-        lrn.exp3_update(st_, arm, loss, prob)
-    assert all(p > 0.0 for p in st_.probs)
-    assert math.fsum(st_.probs) == pytest.approx(1.0, abs=1e-12)
+    learner = lrn.Exp3Learner(3, 50, FixedRng([]))
+    for t, (arm, loss, prob) in enumerate(updates, 1):
+        # stand in for act() with any probability down to 0.01, so the
+        # importance weights reach 1/0.01 whatever the distribution is
+        learner.pending_prob = prob
+        learner.observe(t, arm, loss)
+    assert all(p > 0.0 for p in learner.probs)
+    assert math.fsum(learner.probs) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_exp3_learner_protocol_discipline():
@@ -106,7 +109,8 @@ def test_exp3_clips_composite_observations_to_one():
     clipped, exact = (lrn.Exp3Learner(2, 10, np.random.default_rng(0)) for _ in range(2))
     for learner, obs in ((clipped, 1.5), (exact, 1.0)):
         learner.observe(1, learner.act(1), obs)
-    assert clipped.state == exact.state
+    assert clipped.probs == exact.probs
+    assert clipped.cum_loss_est == exact.cum_loss_est
 
     horizon, k, d = 1000, 3, 3
     for seed in (0, 1, 2):
@@ -124,7 +128,7 @@ def test_exp3_prefers_better_arm():
     for t in range(1, 2001):
         a = learner.act(t)
         learner.observe(t, a, 0.1 if a == 1 else 0.9)
-    assert learner.state.probs[1] > 0.9
+    assert learner.probs[1] > 0.9
 
 
 # ---------------------------------------------------------------------------
@@ -276,54 +280,75 @@ def test_wrapped_exp3_sees_only_batch_count_rounds():
 
 
 def test_fkm_init_default_schedules():
-    s = lrn.fkm_init(3, 2.0, 10 ** 4)
+    s = lrn.FkmLearner(3, 2.0, 10 ** 4, FixedRng([]))
     assert s.exploration == pytest.approx(2.0 * (10 ** 4) ** -0.25, rel=1e-15)
     assert s.step_size == pytest.approx((4.0 / 3) * (10 ** 4) ** -0.75, rel=1e-15)
-    tiny = lrn.fkm_init(2, 1.0, 2)  # exploration clamps at radius / 2
+    tiny = lrn.FkmLearner(2, 1.0, 2, FixedRng([]))  # exploration clamps at radius / 2
     assert tiny.exploration == 0.5
 
 
 def test_fkm_init_validation():
     with pytest.raises(ValueError):
-        lrn.fkm_init(0, 1.0, 10)
+        lrn.FkmLearner(0, 1.0, 10, FixedRng([]))
     with pytest.raises(ValueError):
-        lrn.fkm_init(2, 0.0, 10)
+        lrn.FkmLearner(2, 0.0, 10, FixedRng([]))
     with pytest.raises(ValueError):
-        lrn.fkm_init(2, 1.0, 10, exploration=1.5)
+        lrn.FkmLearner(2, 1.0, 10, FixedRng([]), exploration=1.5)
 
 
 def test_fkm_act_probes_at_exploration_radius():
-    s = lrn.fkm_init(4, 1.0, 100)
-    rng = np.random.default_rng(0)
-    for _ in range(20):
-        x = lrn.fkm_act(s, rng)
+    s = lrn.FkmLearner(4, 1.0, 100, np.random.default_rng(0))
+    for t in range(1, 21):
+        x = s.act(t)
         assert np.linalg.norm(x - s.point) == pytest.approx(s.exploration, rel=1e-12)
         assert np.linalg.norm(s.pending_direction) == pytest.approx(1.0, rel=1e-12)
         s.pending_direction = None
 
 
 def test_fkm_update_descends_and_projects():
-    s = lrn.fkm_init(2, 1.0, 100, exploration=0.1, step_size=0.5)
+    s = lrn.FkmLearner(2, 1.0, 100, FixedRng([]), exploration=0.1, step_size=0.5)
     s.pending_direction = np.array([1.0, 0.0])
-    lrn.fkm_update(s, 0.8)
+    s.observe(1, None, 0.8)
     # step = step_size * (dim / exploration) * loss = 0.5 * 20 * 0.8 = 8,
     # then projected back to the shrunken ball of radius 0.9
     assert np.linalg.norm(s.point) == pytest.approx(0.9, rel=1e-12)
     assert s.point[0] == pytest.approx(-0.9, rel=1e-12)
     with pytest.raises(RuntimeError):
-        lrn.fkm_update(s, 0.5)  # no pending direction
+        s.observe(2, None, 0.5)  # no pending direction
+
+
+def test_fkm_clips_composite_observations_to_one():
+    # as for EXP3: an update with 1.5 is an update with 1.0
+    clipped, exact = (lrn.FkmLearner(2, 1.0, 100, np.random.default_rng(0)) for _ in range(2))
+    for learner, obs in ((clipped, 1.5), (exact, 1.0)):
+        learner.observe(1, learner.act(1), obs)
+    assert np.array_equal(clipped.point, exact.point)
+    for bad in (-0.5, math.nan):
+        clipped.act(2)
+        with pytest.raises(ValueError):
+            clipped.observe(2, None, bad)
+
+    # a constant loss of 1 split over d = 3 rounds aggregates above 1
+    horizon, d = 50, 3
+    space = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
+    config = core.GameConfig(horizon, space, d, 0, 1)
+    tr = core.run_game(
+        config, lrn.FkmLearner(2, 1.0, horizon, substream(1, LEARNER_STREAM)),
+        adv.ConstantLoss(1.0), adv.SeededSplitDelay(d, horizon, 1),
+    )
+    assert len(tr.actions) == horizon and max(tr.observed) > 1.0
 
 
 def test_fkm_gradient_estimate_is_unbiased_for_linear_loss():
     rng = np.random.default_rng(0)
     dim, delta = 3, 0.2
     slope = np.array([0.2, -0.15, 0.1])
-    s = lrn.fkm_init(dim, 1.0, 100, exploration=delta)
+    s = lrn.FkmLearner(dim, 1.0, 100, rng, exploration=delta)
     s.point = np.array([0.1, 0.0, -0.1])
     n = 20000
     acc = np.zeros(dim)
-    for _ in range(n):
-        probe = lrn.fkm_act(s, rng)
+    for t in range(1, n + 1):
+        probe = s.act(t)
         f = 0.5 + float(slope @ probe)
         acc += (dim / delta) * f * s.pending_direction
         s.pending_direction = None
