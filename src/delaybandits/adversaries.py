@@ -27,7 +27,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import LossSplit
 from .seeding import (
     BEST_ARM_STREAM,
     LOSS_TABLE_STREAM,
@@ -317,9 +316,10 @@ class DelayStateMachine:
     With no hidden arm there is nothing to mask: the machine stays high,
     delays nothing, and the carry stays 0.
 
-    Each split appends the round's state to ``lows`` (True when low) and
-    the carry leaving the round to ``carries``, as computed: before
-    validation snaps rounding noise in the held component.
+    Each split returns the tuple (immediate, held), appends the round's
+    state to ``lows`` (True when low) and the carry leaving the round to
+    ``carries``, as computed: before the engine's validation snaps rounding
+    noise in the held component.
     """
 
     delay_span = 2
@@ -332,13 +332,13 @@ class DelayStateMachine:
         self.lows: list = []
         self.carries: list = []
 
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
+    def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
         loss = self.loss_adversary
         gap = loss.gap
         if loss.best_arm is None:
             self.lows.append(False)
             self.carries.append(0.0)
-            return LossSplit(t, (loss_value, 0.0), loss_value)
+            return (loss_value, 0.0)
 
         carry = self.carry
         if self._low:
@@ -354,7 +354,7 @@ class DelayStateMachine:
         self.carry = held
         self.lows.append(self._low)
         self.carries.append(held)
-        return LossSplit(t, (immediate, held), loss_value)
+        return (immediate, held)
 
 
 # ---------------------------------------------------------------------------
@@ -389,21 +389,16 @@ class ParityTrapLoss:
         return 1.0 if actions[t - 2] == self.best_arm else 0.0
 
 
-def parity_split(t: int, loss_value: float) -> tuple:
-    """Split rule of the parity trap: odd rounds hold everything back one
-    round, even rounds reveal immediately."""
-    if t & 1:
-        return (0.0, loss_value)
-    return (loss_value, 0.0)
-
-
 class ParityDelay:
-    """Delay half of :class:`ParityTrapLoss`; see :func:`parity_split`."""
+    """Delay half of :class:`ParityTrapLoss`: odd rounds hold everything
+    back one round, even rounds reveal immediately."""
 
     delay_span = 2
 
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
-        return LossSplit(t, parity_split(t, loss_value), loss_value)
+    def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
+        if t & 1:
+            return (0.0, loss_value)
+        return (loss_value, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +458,8 @@ class NoDelay:
 
     delay_span = 1
 
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
-        return LossSplit(t, (loss_value,), loss_value)
+    def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
+        return (loss_value,)
 
 
 class LastSlotDelay:
@@ -476,8 +471,8 @@ class LastSlotDelay:
         self.delay_span = int(delay_span)
         self._zeros = (0.0,) * (self.delay_span - 1)
 
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
-        return LossSplit(t, self._zeros + (loss_value,), loss_value)
+    def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
+        return self._zeros + (loss_value,)
 
 
 class SeededSplitDelay:
@@ -491,6 +486,6 @@ class SeededSplitDelay:
         raw = substream(master_seed, stream).random((horizon, self.delay_span)) + 1e-3
         self._fractions = (raw / raw.sum(axis=1, keepdims=True)).tolist()
 
-    def split(self, t: int, actions: Sequence, loss_value: float) -> LossSplit:
+    def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
         fr = self._fractions[t - 1]
-        return LossSplit(t, tuple(loss_value * f for f in fr), loss_value)
+        return tuple(loss_value * f for f in fr)

@@ -52,7 +52,7 @@ class SplitError(SimulationError):
 
 
 class LossRangeError(SimulationError):
-    """Loss adversary produced a value outside [0, 1]."""
+    """Loss adversary produced something other than a real number in [0, 1]."""
 
 
 class ReplayError(SimulationError):
@@ -109,7 +109,10 @@ class ConvexBall:
         object.__setattr__(self, "comparator_grid", grid)
 
     def contains(self, action) -> bool:
-        v = np.asarray(action, dtype=float)
+        try:
+            v = np.asarray(action, dtype=float)
+        except (TypeError, ValueError):
+            return False
         if v.shape != (self.dimension,):
             return False
         return float(np.linalg.norm(v)) <= self.radius + 1e-9
@@ -158,7 +161,9 @@ class GameConfig:
 class LossSplit:
     """Decomposition of one round's loss into delayed components.
 
-    ``components[s]`` surfaces at round ``t + s``.
+    ``components[s]`` surfaces at round ``t + s``.  :func:`run_game` builds
+    one per round from the round, the realized loss and the tuple the
+    delay adversary returned.
     """
 
     t: int
@@ -170,8 +175,9 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     """Check a split against the declared loss and clamp rounding noise.
 
     Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
-    negative, any component exceeding the loss, a wrong component count, or
-    a sum off by more than SPLIT_ATOL (or NaN) raises :class:`SplitError`.
+    negative, any component exceeding the loss or not comparable with a
+    float, a wrong component count, or a sum off by more than SPLIT_ATOL
+    (or NaN) raises :class:`SplitError`.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -181,17 +187,21 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     lv = split.loss_value
     # Fast accept: a nonnegative component is at most the correctly rounded
     # sum, so the per-component cap follows from the cap on the sum.  A NaN
-    # fails the comparisons; it, and infinities that make fsum raise, fall
-    # through to the loop below, which decides as it always has.
+    # fails the comparisons; it, infinities that make fsum raise, and
+    # components that are not numbers fall through to the loop below.
     try:
         total = comps[0] if delay_span == 1 else math.fsum(comps)
-    except (OverflowError, ValueError):
-        total = math.nan
-    if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
-        return split
+        if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+            return split
+    except (OverflowError, TypeError, ValueError):
+        pass
     clamped = None
     for i, c in enumerate(comps):
-        if c < 0.0:
+        try:
+            negative = c < 0.0
+        except TypeError:
+            raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number") from None
+        if negative:
             if c < -SPLIT_ATOL:
                 raise SplitError(f"round {split.t}: component {i} is negative ({c!r})")
             if clamped is None:
@@ -275,12 +285,13 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     """Play the full game and return its transcript.
 
     Enforces per round: the action lies in the action space, the loss is a
-    real number in [0, 1], the delay adversary returns a :class:`LossSplit`
-    of round t carrying that loss, the split is valid for the configured
-    delay span, and the learner only hears about round t after acting in
-    round t.  A :class:`SimulationError` raised in a round is re-raised as
-    the same type with ``(seed <master_seed>, <LossClass>+<DelayClass>)``
-    appended.
+    real number in [0, 1] and not a bool, the delay adversary returns a
+    tuple, that tuple is a valid split of the loss for the configured
+    delay span (:func:`validate_split` on the engine's own
+    ``LossSplit(t, components, loss)``), and the learner only hears about
+    round t after acting in round t.  A :class:`SimulationError` raised in
+    a round is re-raised as the same type with
+    ``(seed <master_seed>, <LossClass>+<DelayClass>)`` appended.
 
     The cyclic garbage collector is paused while the rounds are played and
     restored afterwards.  Each round keeps a new component tuple alive, so
@@ -294,7 +305,8 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     config : GameConfig
     learner : object with ``act(t)`` and ``observe(t, action, observed)``
     loss_adversary : object with ``loss(t, actions)``
-    delay_adversary : object with ``split(t, actions, loss_value)``
+    delay_adversary : object with ``split(t, actions, loss_value)`` returning
+        a tuple of ``delay_span`` components, the s-th surfacing at t + s
 
     Returns
     -------
@@ -318,6 +330,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     observed_seq: list = []
     append_action = actions.append
     pending = [0.0] * (d - 1)
+    bools = frozenset((bool, np.bool_))
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -329,18 +342,15 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             append_action(a)
             lv = loss_fn(t, actions)
             try:
-                in_range = 0.0 <= lv <= 1.0
+                in_range = 0.0 <= lv <= 1.0 and type(lv) not in bools
             except (TypeError, ValueError):
                 in_range = False
             if not in_range:
-                raise LossRangeError(f"round {t}: loss {lv!r} outside [0, 1]")
-            split = split_fn(t, actions, lv)
-            if not isinstance(split, LossSplit) or split.t != t or split.loss_value != lv:
-                raise SplitError(
-                    f"round {t}: delay adversary returned {split!r}, "
-                    f"not a LossSplit of round {t} with loss {lv!r}"
-                )
-            split = validate_split(split, d)
+                raise LossRangeError(f"round {t}: loss {lv!r} is not a real number in [0, 1]")
+            comps = split_fn(t, actions, lv)
+            if type(comps) is not tuple:
+                raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
+            split = validate_split(LossSplit(t, comps, lv), d)
             obs = observe_aggregate(pending, split)
             push_split(pending, split)
             observe(t, a, obs)
@@ -375,21 +385,13 @@ class RegretReport:
 
     ``policy_regret`` replays each comparator as a constant action sequence
     through the loss adversary.  ``pseudo_regret`` replays one-step
-    deviations that keep the realized prefix.  Comparator keys are ints for
-    discrete spaces and tuples of floats for ball spaces.
+    deviations that keep the realized prefix.
     """
 
     realized_total: float
-    comparator_totals: dict
     policy_regret: float
     pseudo_regret: float
     best_comparator: object
-
-
-def _comparator_key(y):
-    if isinstance(y, (int, np.integer)):
-        return int(y)
-    return tuple(float(x) for x in y)
 
 
 def _best(totals: Sequence[float]) -> int:
@@ -443,7 +445,6 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     b = _best(totals)
     return RegretReport(
         realized_total=realized,
-        comparator_totals={_comparator_key(y): v for y, v in zip(comparators, totals)},
         policy_regret=realized - totals[b],
         pseudo_regret=pseudo_regret(transcript, loss_adversary, comparators),
         best_comparator=comparators[b],

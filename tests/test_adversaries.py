@@ -474,12 +474,11 @@ def test_parity_trap_pairs_always_cost_one():
 
 
 def test_parity_split_and_delay():
-    assert adv.parity_split(1, 0.7) == (0.0, 0.7)
-    assert adv.parity_split(2, 0.7) == (0.7, 0.0)
     d = adv.ParityDelay()
     assert d.delay_span == 2
-    sp = d.split(3, [0, 0, 0], 1.0)
-    assert sp.components == (0.0, 1.0)
+    assert d.split(1, [0], 0.7) == (0.0, 0.7)
+    assert d.split(2, [0, 0], 0.7) == (0.7, 0.0)
+    assert d.split(3, [0, 0, 0], 1.0) == (0.0, 1.0)
 
 
 def test_parity_trap_from_seed_covers_both_arms():
@@ -545,10 +544,10 @@ def test_seeded_split_delay_rows_are_valid_and_reproducible():
     b = adv.SeededSplitDelay(4, 30, master_seed=5)
     for t in range(1, 31):
         sp = a.split(t, [0] * t, 0.8)
-        assert len(sp.components) == 4
-        assert all(c > 0 for c in sp.components)
-        assert math.fsum(sp.components) == pytest.approx(0.8, abs=1e-12)
-        assert sp.components == b.split(t, [0] * t, 0.8).components
+        assert type(sp) is tuple and len(sp) == 4
+        assert all(c > 0 for c in sp)
+        assert math.fsum(sp) == pytest.approx(0.8, abs=1e-12)
+        assert sp == b.split(t, [0] * t, 0.8)
 
 
 def test_constant_loss_validation():

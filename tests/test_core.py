@@ -51,6 +51,16 @@ class TestConvexBall:
         assert not space.contains(np.array([1.2, 0.0]))
         assert not space.contains(np.array([0.1, 0.1, 0.1]))
 
+    @pytest.mark.parametrize("junk", ["a", [0.1, "x"], {"a": 1}, None, [None, 0.1]],
+                             ids=["str", "str-in-list", "dict", "none", "none-in-list"])
+    def test_junk_is_not_contained(self, junk):
+        space = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
+        assert space.contains(junk) is False
+        config = core.GameConfig(2, space, 1, 0, 7)
+        with pytest.raises(core.ActionError, match=r"^round 1: .* \(seed 7, "):
+            core.run_game(config, lrn.ScriptedLearner([junk] * 2),
+                          adv.ConstantLoss(0.5), adv.NoDelay())
+
     def test_grid_must_fit(self):
         with pytest.raises(ValueError):
             core.ConvexBall(2, 1.0, [(2.0, 0.0)])
@@ -329,7 +339,7 @@ def test_engine_rejects_bad_split():
         delay_span = 2
 
         def split(self, t, actions, loss_value):
-            return core.LossSplit(t, (loss_value, loss_value), loss_value)
+            return (loss_value, loss_value)
 
     # the error names the round, the seed and the pairing
     with pytest.raises(core.SplitError,
@@ -342,9 +352,14 @@ def test_engine_rejects_bad_split():
         )
 
 
-class StrLoss:
+class ScriptedLoss:
+    """Loss adversary returning ``values[t - 1]`` unchecked in round t."""
+
+    def __init__(self, values):
+        self.values = values
+
     def loss(self, t, actions):
-        return "0.5"
+        return self.values[t - 1]
 
 
 class Forged:
@@ -363,20 +378,100 @@ class Forged:
      core.SplitError),
     (adv.ConstantLoss(0.5), 1, lambda t, lv: core.LossSplit(t + 5, (lv,), lv),
      core.SplitError),
-    (adv.ConstantLoss(0.5), 1, lambda t, lv: core.LossSplit(t, (0.0,), 0.0),
-     core.SplitError),
-    (adv.ConstantLoss(0.5), 2, lambda t, lv: core.LossSplit(t, (1e308, 1e308), math.inf),
-     core.SplitError),
-    (StrLoss(), 1, lambda t, lv: core.LossSplit(t, (lv,), lv), core.LossRangeError),
-    (adv.ConstantLoss(0.5), 1, lambda t, lv: (lv,), core.SplitError),
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: (0.0,), core.SplitError),
+    (adv.ConstantLoss(0.5), 2, lambda t, lv: (1e308, 1e308), core.SplitError),
+    (ScriptedLoss(["0.5"] * 4), 1, lambda t, lv: (lv,), core.LossRangeError),
+    (adv.ConstantLoss(0.5), 1, lambda t, lv: [lv], core.SplitError),
+    (ScriptedLoss([True] * 4), 1, lambda t, lv: (lv,), core.LossRangeError),
+    (ScriptedLoss([np.bool_(True)] * 4), 1, lambda t, lv: (lv,), core.LossRangeError),
 ], ids=["other-round-and-loss", "other-round", "other-loss", "overflow", "str-loss",
-        "plain-tuple"])
+        "plain-tuple", "bool-loss", "numpy-bool-loss"])
 def test_engine_rejects_split_not_of_its_round_and_loss(loss, d, make, error):
     pairing = rf"{type(loss).__name__}\+Forged"
     with pytest.raises(error, match=rf"^round 1: .* \(seed 7, {pairing}\)$"):
         core.run_game(
             make_config(4, d=d, seed=7), lrn.ScriptedLearner([0] * 4), loss, Forged(d, make)
         )
+
+
+@pytest.mark.parametrize("comps", [("a", 0.5), (None, 0.5), ("a",)], ids=["str", "none", "d1"])
+def test_engine_rejects_non_number_components(comps):
+    d = len(comps)
+    with pytest.raises(core.SplitError, match=r"^round 1: component 0 \(.*\) is not a number "
+                                              r"\(seed 7, ConstantLoss\+Forged\)$"):
+        core.run_game(make_config(4, d=d, seed=7), lrn.ScriptedLearner([0] * 4),
+                      adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))
+
+
+def test_engine_keeps_numpy_float_losses():
+    for value in (np.float64(0.25), np.float32(0.5)):
+        tr = core.run_game(make_config(3), lrn.ScriptedLearner([0] * 3),
+                           ScriptedLoss([value] * 3), adv.NoDelay())
+        assert tr.true_losses == (value,) * 3
+
+
+#: junk a learner, a loss or a split component might hand the engine
+JUNK = (math.nan, math.inf, -math.inf, "a", None, True, False, [0, 1], (),
+        np.float64(0.5), np.float32(0.25), np.int64(1), np.bool_(True), np.float64(math.nan))
+DISCRETE = core.Discrete(2)
+BALL = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
+VALID_ACTIONS = {DISCRETE: (0, 1, np.int64(1)), BALL: ([0.1, 0.2], np.zeros(2), (0.5, -0.5))}
+SPLIT_KINDS = ("valid", "list", "LossSplit", "narrow", "wide", "junk-component")
+
+
+class JunkDelay:
+    """Returns, per round, a split of the kind scripted for that round."""
+
+    def __init__(self, delay_span, kinds, junk):
+        self.delay_span = delay_span
+        self.kinds = kinds
+        self.junk = junk
+
+    def split(self, t, actions, loss_value):
+        kind = self.kinds[t - 1]
+        comps = (0.0,) * (self.delay_span - 1) + (loss_value,)
+        if kind == "list":
+            return list(comps)
+        if kind == "LossSplit":
+            return core.LossSplit(t, comps, loss_value)
+        if kind == "narrow":
+            return comps[1:]
+        if kind == "wide":
+            return comps + (0.0,)
+        if kind == "junk-component":
+            return (self.junk[t - 1],) + comps[1:]
+        return comps
+
+
+@st.composite
+def junk_games(draw):
+    horizon = draw(st.integers(min_value=1, max_value=6))
+    space = draw(st.sampled_from([DISCRETE, BALL]))
+    d = draw(st.integers(min_value=1, max_value=3))
+
+    def per_round(values):
+        return draw(st.lists(values, min_size=horizon, max_size=horizon))
+
+    junk = st.sampled_from(JUNK)
+    actions = per_round(st.one_of(st.sampled_from(VALID_ACTIONS[space]), junk))
+    losses = per_round(st.one_of(st.floats(min_value=0.0, max_value=1.0), junk))
+    kinds = per_round(st.sampled_from(SPLIT_KINDS))
+    return space, d, actions, losses, kinds, per_round(junk)
+
+
+@given(junk_games())
+@settings(max_examples=300, deadline=None)
+def test_engine_raises_only_typed_errors_on_junk(game):
+    space, d, actions, losses, kinds, junk = game
+    config = core.GameConfig(len(actions), space, d, 0, 7)
+    try:
+        tr = core.run_game(config, lrn.ScriptedLearner(actions), ScriptedLoss(losses),
+                           JunkDelay(d, kinds, junk))
+    except core.SimulationError as e:
+        assert str(e).endswith(" (seed 7, ScriptedLoss+JunkDelay)"), str(e)
+        return
+    assert not any(type(lv) in (bool, np.bool_) for lv in tr.true_losses)
+    assert all(type(c) is tuple and len(c) == d for c in tr.components)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])
