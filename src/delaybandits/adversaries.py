@@ -114,73 +114,48 @@ class MultiScaleWalk:
     """Gaussian walk indexed by the dyadic parent rule.
 
     W_0 = 0 and W_t = W_{rho(t)} + xi_t with xi_t ~ N(0, sigma^2).  The
-    increments are materialized from a dedicated seed stream as one block
-    keyed by index, so any query order yields identical values and repeated
-    queries are memoized.
+    increments are drawn from the walk stream of the master seed as one
+    block keyed by index, and every value is computed on construction, so
+    any query order yields identical values.
 
     Parameters
     ----------
-    sigma : float, >= 0
+    sigma : float, finite and >= 0
     horizon : int
     master_seed : int
-    stream : int, stream id within the master seed
     increments : optional array-like overriding the Gaussian draws (tests)
     """
 
-    def __init__(self, sigma, horizon, master_seed=0, stream=WALK_STREAM, increments=None):
-        if sigma < 0:
-            raise ValueError("sigma must be >= 0")
+    def __init__(self, sigma, horizon, master_seed=0, increments=None):
+        if not 0 <= sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
         if horizon < 1:
             raise ValueError("horizon must be >= 1")
-        self.sigma = float(sigma)
         self.horizon = int(horizon)
-        self.master_seed = int(master_seed)
-        self.stream = int(stream)
-        if increments is not None:
+        if increments is None:
+            xi = substream(master_seed, WALK_STREAM).normal(0.0, float(sigma), self.horizon)
+        else:
             xi = np.asarray(increments, dtype=float)
             if xi.shape != (self.horizon,):
                 raise ValueError(f"need {self.horizon} increments, got shape {xi.shape}")
-            self._xi = xi.copy()
-        else:
-            self._xi = None
-        self._values = None
-
-    def _materialize(self):
-        if self._xi is None:
-            self._xi = substream(self.master_seed, self.stream).normal(
-                0.0, self.sigma, self.horizon
-            )
-        if self._values is None:
-            w = np.empty(self.horizon + 1)
-            w[0] = 0.0
-            _fill_walk(w, self._xi)
-            w.flags.writeable = False
-            self._values = w
-
-    def increment(self, t: int) -> float:
-        """xi_t, the innovation attached to round t."""
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside 1..{self.horizon}")
-        if self._xi is None:
-            self._materialize()
-        return float(self._xi[t - 1])
+        w = np.empty(self.horizon + 1)
+        w[0] = 0.0
+        _fill_walk(w, xi)
+        w.flags.writeable = False
+        self._values = w
 
     def value(self, t: int) -> float:
         """W_t for 0 <= t <= horizon."""
         if not 0 <= t <= self.horizon:
             raise ValueError(f"t={t} outside 0..{self.horizon}")
-        if self._values is None:
-            self._materialize()
         return float(self._values[t])
 
     def values(self) -> np.ndarray:
         """Read-only array of W_0..W_horizon."""
-        if self._values is None:
-            self._materialize()
         return self._values
 
 
-def walk_value_matrix(sigma, horizon, n_walks, master_seed=0, stream=WALK_STREAM) -> np.ndarray:
+def walk_value_matrix(sigma, horizon, n_walks, master_seed=0) -> np.ndarray:
     """Values of ``n_walks`` independent walks, shape (n_walks, horizon + 1).
 
     Row-vectorized version of :class:`MultiScaleWalk` for Monte Carlo use;
@@ -188,7 +163,7 @@ def walk_value_matrix(sigma, horizon, n_walks, master_seed=0, stream=WALK_STREAM
     """
     if n_walks < 1:
         raise ValueError("n_walks must be >= 1")
-    xi = substream(master_seed, stream).normal(0.0, sigma, (n_walks, horizon))
+    xi = substream(master_seed, WALK_STREAM).normal(0.0, sigma, (n_walks, horizon))
     w = np.zeros((n_walks, horizon + 1))
     _fill_walk(w, xi)
     return w
@@ -222,8 +197,8 @@ class GapWalkLoss:
     best_arm may be None, meaning no arm is favored and all losses
     coincide.  gap must lie in (0, 1/8].
 
-    Both truncated baselines are tabulated for t = 0..T on first use, so
-    a loss is one range check and one list read.  numpy adds, subtracts
+    Both truncated baselines are tabulated for t = 0..T on construction,
+    so a loss is one range check and one list read.  numpy adds, subtracts
     and clips elementwise with the same IEEE rounding as scalar Python, so
     the tables equal the formula in :meth:`masked_baseline` bit for bit.
     """
@@ -236,14 +211,13 @@ class GapWalkLoss:
         if not 0.0 < gap <= 0.125:
             raise ValueError(f"gap must lie in (0, 1/8], got {gap}")
         self.walk = walk
+        self.horizon = walk.horizon
         self.arm_count = int(arm_count)
         self.best_arm = None if best_arm is None else int(best_arm)
         self.gap = float(gap)
-        # last round covered by the tables; -1 until they are built, so the
-        # first query falls through to _tabulate
-        self._top = -1
-        self._high: list = []
-        self._low: list = []
+        base = walk.values() + 0.75
+        self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
+        self._low = np.clip(base - self.gap, LOSS_FLOOR, LOSS_CEIL).tolist()
 
     @classmethod
     def from_seed(cls, arm_count, horizon, gap, sigma, master_seed) -> "GapWalkLoss":
@@ -251,25 +225,15 @@ class GapWalkLoss:
         walk stream, both keyed by the master seed."""
         z = int(substream(master_seed, BEST_ARM_STREAM).integers(0, arm_count + 1))
         best = None if z == 0 else z - 1
-        walk = MultiScaleWalk(sigma, horizon, master_seed, WALK_STREAM)
+        walk = MultiScaleWalk(sigma, horizon, master_seed)
         return cls(walk, arm_count, best, gap)
-
-    def _tabulate(self, t: int) -> None:
-        """Build the baseline tables if needed, then range-check t."""
-        if self._top < 0:
-            base = self.walk.values() + 0.75
-            self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
-            self._low = np.clip(base - self.gap, LOSS_FLOOR, LOSS_CEIL).tolist()
-            self._top = self.walk.horizon
-        if not 0 <= t <= self._top:
-            raise ValueError(f"t={t} outside 0..{self._top}")
 
     def arm_loss(self, t: int, arm) -> float:
         return self.masked_baseline(t, arm == self.best_arm)
 
     def loss(self, t: int, actions: Sequence) -> float:
-        if not 0 <= t <= self._top:
-            self._tabulate(t)
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"t={t} outside 0..{self.horizon}")
         return self._low[t] if actions[t - 1] == self.best_arm else self._high[t]
 
     def masked_baseline(self, t: int, low: bool) -> float:
@@ -280,8 +244,8 @@ class GapWalkLoss:
         This is the baseline the masking delay exposes in each state, and
         also every arm's loss: the hidden arm's is the low one.
         """
-        if not 0 <= t <= self._top:
-            self._tabulate(t)
+        if not 0 <= t <= self.horizon:
+            raise ValueError(f"t={t} outside 0..{self.horizon}")
         return self._low[t] if low else self._high[t]
 
 
@@ -430,8 +394,8 @@ class TableLoss:
         self._rows = table.tolist()
 
     @classmethod
-    def from_seed(cls, arm_count, horizon, master_seed, stream=LOSS_TABLE_STREAM):
-        rng = substream(master_seed, stream)
+    def from_seed(cls, arm_count, horizon, master_seed):
+        rng = substream(master_seed, LOSS_TABLE_STREAM)
         return cls(rng.random((horizon, arm_count)))
 
     def loss(self, t: int, actions: Sequence) -> float:
@@ -479,11 +443,11 @@ class SeededSplitDelay:
     """Random valid splits with proportions drawn per round from a seed
     stream; exercises the buffer plumbing without any adversarial intent."""
 
-    def __init__(self, delay_span: int, horizon: int, master_seed=0, stream=SPLIT_STREAM):
+    def __init__(self, delay_span: int, horizon: int, master_seed=0):
         if delay_span < 1:
             raise ValueError("delay_span must be >= 1")
         self.delay_span = int(delay_span)
-        raw = substream(master_seed, stream).random((horizon, self.delay_span)) + 1e-3
+        raw = substream(master_seed, SPLIT_STREAM).random((horizon, self.delay_span)) + 1e-3
         self._fractions = (raw / raw.sum(axis=1, keepdims=True)).tolist()
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:

@@ -288,17 +288,17 @@ class DelayAudit:
     failures: tuple
 
 
-def audit_delay_accounting(transcript, batch_size: int, delay_span: Optional[int] = None) -> DelayAudit:
+def audit_delay_accounting(transcript, batch_size: int) -> DelayAudit:
     """Run the accounting checks on a transcript played in batches.
 
     ``batch_size`` must match the wrapper that produced the run (1 for
-    unwrapped runs).  Leftover rounds beyond the last complete batch are
-    excluded from the per-batch checks but included in the aggregate one.
+    unwrapped runs); the delay span is the transcript's.  Leftover rounds
+    beyond the last complete batch are excluded from the per-batch checks
+    but included in the aggregate one.
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    d = transcript.config.delay_span if delay_span is None else delay_span
-    slack = d - 1
+    slack = transcript.config.delay_span - 1
     failures = []
 
     true_total = math.fsum(transcript.true_losses)

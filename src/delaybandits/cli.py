@@ -14,8 +14,9 @@ master seed is derived from (seed base, repetition index), so growing a
 sweep never reshuffles existing rows, and wall_time_ms is the only column
 that varies between identical invocations.
 
-A config file (flag ``--config``) holds flat ``key=value`` lines using the
-long flag names; values given on the command line win.
+Each ``run``/``sweep`` flag sets the :class:`ExperimentSpec` field of the
+same meaning; a flag left out takes that field's default, except that
+``sweep`` defaults to the 2^10..2^16 horizon grid and 50 seeds.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from . import adversaries as adv
 from . import analysis
@@ -101,10 +103,10 @@ class ExperimentSpec:
             raise UsageError("--workers must be >= 1")
         if self.batch_size < 0 or self.delay_span < 0 or self.memory_bound < 0:
             raise UsageError("--tau, --d and --m must be >= 0")
-        if self.gap < 0 or self.gap > 0.125:
+        if not 0 <= self.gap <= 0.125:
             raise UsageError("--epsilon must lie in [0, 1/8] (0 = automatic)")
-        if self.sigma < 0:
-            raise UsageError("--sigma must be >= 0 (0 = automatic)")
+        if not 0 <= self.sigma < math.inf:
+            raise UsageError("--sigma must be finite and >= 0 (0 = automatic)")
         if self.adversary == "paritytrap" and self.arm_count != 2:
             raise UsageError("the parity trap is two-armed; use --K 2")
         if self.delay == "statemachine" and self.adversary != "gapwalk":
@@ -163,7 +165,6 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
         horizon=horizon,
         action_space=core.Discrete(k),
         delay_span=delay.delay_span,
-        memory_bound=spec.memory_bound,
         master_seed=master_seed,
     )
     return config, learner, loss, delay, tau
@@ -245,17 +246,8 @@ def read_rows(path: str) -> list:
 
 
 def cmd_run(args) -> int:
+    """``run`` and ``sweep``: execute the spec of the flags, write its CSV."""
     spec = _spec_from_args(args)
-    if len(spec.horizons) != 1:
-        raise UsageError("run takes exactly one --T; use sweep for grids")
-    rows = execute_spec(spec)
-    write_rows(spec.out, rows)
-    print(f"wrote {len(rows)} rows to {spec.out}")
-    return EXIT_OK
-
-
-def cmd_sweep(args) -> int:
-    spec = _spec_from_args(args, sweep=True)
     rows = execute_spec(spec)
     write_rows(spec.out, rows)
     print(f"wrote {len(rows)} rows to {spec.out}")
@@ -286,7 +278,10 @@ def cmd_analyze(args) -> int:
     for needed in ("T", metric):
         if needed not in rows[0]:
             raise UsageError(f"column {needed!r} missing from {args.csv}")
-    groups = analysis.horizon_groups(rows, metric)
+    try:
+        groups = analysis.horizon_groups(rows, metric)
+    except ValueError as e:
+        raise UsageError(f"columns 'T' and {metric!r} of {args.csv} must be numeric: {e}")
     try:
         fit = analysis.fit_exponent(analysis.horizon_means(groups))
     except ValueError as e:
@@ -318,82 +313,37 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _add_run_flags(p) -> None:
-    p.add_argument("--config", default=None, help="flat key=value config file")
-    p.add_argument("--adversary", default=None, choices=ADVERSARIES)
-    p.add_argument("--delay", default=None, choices=DELAYS)
-    p.add_argument("--learner", default=None, choices=LEARNERS)
-    p.add_argument("--T", type=int, action="append", default=None,
+    # dest is the ExperimentSpec field; a flag left out is absent from the
+    # namespace (the parser's argument_default is SUPPRESS)
+    p.add_argument("--adversary", choices=ADVERSARIES)
+    p.add_argument("--delay", choices=DELAYS)
+    p.add_argument("--learner", choices=LEARNERS)
+    p.add_argument("--T", type=int, action="append", dest="horizons",
                    help="horizon; repeatable")
-    p.add_argument("--K", type=int, default=None, help="number of arms")
-    p.add_argument("--d", type=int, default=None, help="delay span (0 = implied)")
-    p.add_argument("--m", type=int, default=None, help="loss memory bound")
-    p.add_argument("--tau", type=int, default=None, help="batch size (0 = automatic)")
-    p.add_argument("--epsilon", type=float, default=None, help="hidden-arm gap (0 = automatic)")
-    p.add_argument("--sigma", type=float, default=None, help="walk noise scale (0 = automatic)")
-    p.add_argument("--seeds", type=int, default=None, help="repetitions per horizon")
-    p.add_argument("--seed-base", type=int, default=None, dest="seed_base")
-    p.add_argument("--out", default=None, help="output CSV path")
-    p.add_argument("--workers", type=int, default=None)
+    p.add_argument("--K", type=int, dest="arm_count", help="number of arms")
+    p.add_argument("--d", type=int, dest="delay_span", help="delay span (0 = implied)")
+    p.add_argument("--m", type=int, dest="memory_bound", help="loss memory bound")
+    p.add_argument("--tau", type=int, dest="batch_size", help="batch size (0 = automatic)")
+    p.add_argument("--epsilon", type=float, dest="gap", help="hidden-arm gap (0 = automatic)")
+    p.add_argument("--sigma", type=float, help="walk noise scale (0 = automatic)")
+    p.add_argument("--seeds", type=int, dest="repetitions", help="repetitions per horizon")
+    p.add_argument("--seed-base", type=int, dest="seed_base")
+    p.add_argument("--out", help="output CSV path")
+    p.add_argument("--workers", type=int)
 
 
-_CONFIG_KEYS = {
-    "adversary": str, "delay": str, "learner": str, "T": str, "K": int,
-    "d": int, "m": int, "tau": int, "epsilon": float, "sigma": float,
-    "seeds": int, "seed-base": int, "seed_base": int, "out": str,
-    "workers": int,
-}
-
-
-def _load_config(path: str) -> dict:
-    values = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key not in _CONFIG_KEYS:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key.replace("-", "_")] = _CONFIG_KEYS[key](value)
-    return values
-
-
-def _spec_from_args(args, sweep: bool = False) -> ExperimentSpec:
-    cfg = _load_config(args.config) if args.config else {}
-
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        if key in cfg:
-            return cfg[key]
-        return default
-
-    horizons = args.T
-    if horizons is None and "T" in cfg:
-        horizons = [int(x) for x in str(cfg["T"]).split(",") if x.strip()]
-    if horizons is None:
-        horizons = list(DEFAULT_SWEEP_HORIZONS) if sweep else [4096]
-
-    spec = ExperimentSpec(
-        adversary=pick(args.adversary, "adversary", "gapwalk"),
-        delay=pick(args.delay, "delay", "statemachine"),
-        learner=pick(args.learner, "learner", "wrapper-exp3"),
-        horizons=tuple(horizons),
-        arm_count=pick(args.K, "K", 2),
-        delay_span=pick(args.d, "d", 0),
-        memory_bound=pick(args.m, "m", 0),
-        batch_size=pick(args.tau, "tau", 0),
-        gap=pick(args.epsilon, "epsilon", 0.0),
-        sigma=pick(args.sigma, "sigma", 0.0),
-        repetitions=pick(args.seeds, "seeds", 50 if sweep else 1),
-        seed_base=pick(args.seed_base, "seed_base", 0),
-        out=pick(args.out, "out", "results.csv"),
-        workers=pick(args.workers, "workers", 1),
-    )
+def _spec_from_args(args) -> ExperimentSpec:
+    """The validated spec of the flags given to ``run`` or ``sweep``."""
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)
+             if hasattr(args, f.name)}
+    if "horizons" in given:
+        given["horizons"] = tuple(given["horizons"])
+    if args.command == "sweep":
+        given = {"horizons": DEFAULT_SWEEP_HORIZONS, "repetitions": 50, **given}
+    spec = ExperimentSpec(**given)
     spec.validate()
+    if args.command == "run" and len(spec.horizons) != 1:
+        raise UsageError("run takes exactly one --T; use sweep for grids")
     return spec
 
 
@@ -401,13 +351,15 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="delaybandits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    p_run = sub.add_parser("run", help="run one horizon and write a result CSV")
+    p_run = sub.add_parser("run", help="run one horizon and write a result CSV",
+                           argument_default=argparse.SUPPRESS)
     _add_run_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
-    p_sweep = sub.add_parser("sweep", help="run a horizon grid and write a result CSV")
+    p_sweep = sub.add_parser("sweep", help="run a horizon grid and write a result CSV",
+                             argument_default=argparse.SUPPRESS)
     _add_run_flags(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_run)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", nargs="*",

@@ -30,7 +30,7 @@ import gc
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -141,7 +141,6 @@ class GameConfig:
     horizon: int
     action_space: object
     delay_span: int = 1
-    memory_bound: int = 0
     master_seed: int = 0
 
     def __post_init__(self):
@@ -149,8 +148,6 @@ class GameConfig:
             raise ValueError("horizon must be >= 1")
         if self.delay_span < 1:
             raise ValueError("delay_span must be >= 1")
-        if self.memory_bound < 0:
-            raise ValueError("memory_bound must be >= 0")
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +282,9 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     """Play the full game and return its transcript.
 
     Enforces per round: the action lies in the action space, the loss is a
-    real number in [0, 1] and not a bool, the delay adversary returns a
-    tuple, that tuple is a valid split of the loss for the configured
-    delay span (:func:`validate_split` on the engine's own
+    real number in [0, 1] and neither a bool nor a numpy array, the delay
+    adversary returns a tuple, that tuple is a valid split of the loss for
+    the configured delay span (:func:`validate_split` on the engine's own
     ``LossSplit(t, components, loss)``), and the learner only hears about
     round t after acting in round t.  A :class:`SimulationError` raised in
     a round is re-raised as the same type with
@@ -330,7 +327,8 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     observed_seq: list = []
     append_action = actions.append
     pending = [0.0] * (d - 1)
-    bools = frozenset((bool, np.bool_))
+    # types that compare like a number in [0, 1] but are not one
+    rejected = frozenset((bool, np.bool_, np.ndarray))
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -342,7 +340,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             append_action(a)
             lv = loss_fn(t, actions)
             try:
-                in_range = 0.0 <= lv <= 1.0 and type(lv) not in bools
+                in_range = 0.0 <= lv <= 1.0 and type(lv) not in rejected
             except (TypeError, ValueError):
                 in_range = False
             if not in_range:
@@ -394,16 +392,6 @@ class RegretReport:
     best_comparator: object
 
 
-def _best(totals: Sequence[float]) -> int:
-    # ties go to the lowest comparator index
-    best_i = 0
-    best_v = totals[0]
-    for i in range(1, len(totals)):
-        if totals[i] < best_v:
-            best_i, best_v = i, totals[i]
-    return best_i
-
-
 def _replay_realized(transcript: Transcript, loss_adversary) -> None:
     """Re-evaluate the realized history; any drift means the adversary is
     not replay-deterministic and every counterfactual would be garbage."""
@@ -442,7 +430,7 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     rounds = range(1, T + 1)
     totals = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
     realized = transcript.realized_total
-    b = _best(totals)
+    b = min(range(len(totals)), key=totals.__getitem__)  # ties: lowest index
     return RegretReport(
         realized_total=realized,
         policy_regret=realized - totals[b],
@@ -479,7 +467,7 @@ def pseudo_regret(transcript: Transcript, loss_adversary, comparators=None) -> f
             hist[t - 1] = y
             append(loss_fn(t, hist))
         totals.append(math.fsum(vals))
-    return transcript.realized_total - totals[_best(totals)]
+    return transcript.realized_total - min(totals)
 
 
 # ---------------------------------------------------------------------------

@@ -136,11 +136,13 @@ class MiniBatchWrapper:
     """Play each inner action for ``batch_size`` consecutive rounds and
     feed the inner learner the clipped block average of the observations.
 
-    If fewer than ``batch_size`` rounds remain, the final batch action is
-    repeated for the leftover rounds and their observations are dropped:
-    the inner learner only ever hears about complete batches.  When the
-    whole horizon is shorter than one batch, the inner learner is queried
-    once for the action to repeat and never receives feedback.
+    Batch j covers rounds (j - 1) * batch_size + 1 .. j * batch_size, so the
+    round alone says where a batch starts and ends.  Rounds after the last
+    complete batch are leftovers: the final batch action is repeated and
+    their observations are dropped, so the inner learner only ever hears
+    about complete batches.  When the whole horizon is shorter than one
+    batch, the inner learner is queried once for the action to repeat and
+    never receives feedback.
 
     With batch_size 1 the wrapper is the identity: the inner learner sees
     the exact round sequence it would have seen alone.
@@ -153,40 +155,34 @@ class MiniBatchWrapper:
             raise ValueError("horizon must be >= 1")
         self.inner = inner
         self.batch_size = int(batch_size)
-        self.horizon = int(horizon)
         self.completed_batches = 0
         self.current_action = None
-        self.rounds_into_batch = 0
         self.accumulator = 0.0
-        self._in_batch = False
-        self._leftover = False
+        # last round of the batch being played, and of the last complete
+        # batch; rounds past the latter are leftovers
+        self._batch_end = 0
+        self._batched_rounds = horizon - horizon % self.batch_size
 
     def act(self, t: int):
-        if self._in_batch or self._leftover:
-            return self.current_action
-        if self.horizon - t + 1 >= self.batch_size:
-            self.current_action = self.inner.act(self.completed_batches + 1)
-            self._in_batch = True
-            self.rounds_into_batch = 0
-            self.accumulator = 0.0
-        else:
-            self._leftover = True
-            if self.current_action is None:
+        if t > self._batch_end:
+            if t <= self._batched_rounds:
+                self.current_action = self.inner.act(self.completed_batches + 1)
+                self.accumulator = 0.0
+                self._batch_end = t + self.batch_size - 1
+            elif self.current_action is None:
                 self.current_action = self.inner.act(1)
         return self.current_action
 
     def observe(self, t: int, action, observed: float) -> None:
-        if not self._in_batch:
+        if t > self._batched_rounds:
             return
         self.accumulator += observed
-        self.rounds_into_batch += 1
-        if self.rounds_into_batch == self.batch_size:
+        if t == self._batch_end:
             estimate = self.accumulator / self.batch_size
             if estimate > 1.0:
                 estimate = 1.0
             self.inner.observe(self.completed_batches + 1, self.current_action, estimate)
             self.completed_batches += 1
-            self._in_batch = False
 
 
 # ---------------------------------------------------------------------------

@@ -185,7 +185,7 @@ def test_masked_streams_stay_within_analytic_budget():
         walk = adv.MultiScaleWalk(sigma, horizon, master)
         plain = adv.GapWalkLoss(walk, 2, None, gap)
         masked = adv.GapWalkLoss(walk, 2, 0, gap)
-        cfg = core.GameConfig(horizon, core.Discrete(2), 2, 0, master)
+        cfg = core.GameConfig(horizon, core.Discrete(2), 2, master)
         tr0 = core.run_game(
             cfg, lrn.UniformRandomLearner(2, substream(master, LEARNER_STREAM)),
             plain, adv.DelayStateMachine(plain),
@@ -244,7 +244,7 @@ def run_wrapped(horizon, tau, d, seed_tag):
     loss = adv.TableLoss.from_seed(2, horizon, master)
     delay = adv.NoDelay() if d == 1 else adv.LastSlotDelay(d)
     inner = lrn.Exp3Learner(2, max(horizon // tau, 1), substream(master, LEARNER_STREAM))
-    cfg = core.GameConfig(horizon, core.Discrete(2), d, 0, master)
+    cfg = core.GameConfig(horizon, core.Discrete(2), d, master)
     return core.run_game(cfg, lrn.MiniBatchWrapper(inner, tau, horizon), loss, delay)
 
 
@@ -273,7 +273,7 @@ def test_audit_counts_only_complete_batches():
 
 
 def fake_transcript(observed, true_losses, d):
-    cfg = core.GameConfig(len(observed), core.Discrete(2), d, 0, 0)
+    cfg = core.GameConfig(len(observed), core.Discrete(2), d, 0)
     return core.Transcript(
         config=cfg,
         actions=(0,) * len(observed),

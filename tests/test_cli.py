@@ -1,4 +1,4 @@
-"""Command-line behavior: determinism, config merging, exit codes."""
+"""Command-line behavior: determinism, flag defaults, exit codes."""
 
 import csv
 import json
@@ -72,36 +72,26 @@ def test_seeds_are_paired_across_horizons(tmp_path):
     assert seeds_32 == {str(run_seed(9, rep)) for rep in range(4)}
 
 
-def test_config_file_supplies_defaults_and_flags_override(tmp_path):
+def test_config_file_supplies_defaults_and_flags_override():
+    # there is no config file: a flag left out takes ExperimentSpec's
+    # default, a flag given wins, and sweep defaults to its grid and 50 seeds
+    parse = cli.build_parser().parse_args
+    spec = cli._spec_from_args(parse(["run", "--K", "3", "--seeds", "4", "--epsilon", "0.1"]))
+    assert spec == cli.ExperimentSpec(arm_count=3, repetitions=4, gap=0.1)
+    spec = cli._spec_from_args(parse(["sweep", "--adversary", "iid", "--delay", "none"]))
+    assert spec == cli.ExperimentSpec(adversary="iid", delay="none",
+                                      horizons=cli.DEFAULT_SWEEP_HORIZONS, repetitions=50)
+    spec = cli._spec_from_args(parse(["sweep", "--T", "32", "--T", "64", "--seeds", "2"]))
+    assert spec == cli.ExperimentSpec(horizons=(32, 64), repetitions=2)
+
+
+def test_config_file_rejects_garbage(tmp_path, capsys):
+    # --config is gone; it is an unknown flag like any other
     cfg = tmp_path / "exp.cfg"
-    cfg.write_text(
-        "# comment line\n"
-        "adversary = paritytrap\n"
-        "delay = parity\n"
-        "learner = uniform\n"
-        "T = 32,64\n"
-        "seeds = 2\n"
-        "m = 1\n"
-        f"out = {tmp_path / 'c.csv'}\n"
-    )
-    assert cli.main(["sweep", "--config", str(cfg)]) == 0
-    rows = read_rows_no_timing(tmp_path / "c.csv")
-    assert len(rows) == 4
-    assert all(r["adversary"] == "paritytrap+parity" for r in rows)
-    # the flag beats the file
-    override_out = tmp_path / "d.csv"
-    assert cli.main(["sweep", "--config", str(cfg), "--seeds", "1",
-                     "--out", str(override_out)]) == 0
-    assert len(read_rows_no_timing(override_out)) == 2
-
-
-def test_config_file_rejects_garbage(tmp_path):
-    bad = tmp_path / "bad.cfg"
-    bad.write_text("what is this line\n")
-    assert cli.main(["run", "--config", str(bad)]) == 1
-    unknown = tmp_path / "unk.cfg"
-    unknown.write_text("frobnicate = 3\n")
-    assert cli.main(["run", "--config", str(unknown)]) == 1
+    cfg.write_text("T = 32\n")
+    assert cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "--config" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 class TestUsageErrors:
@@ -124,6 +114,14 @@ class TestUsageErrors:
     def test_bad_epsilon_rejected(self, tmp_path):
         assert cli.main(["run", "--epsilon", "0.2",
                          "--out", str(tmp_path / "x.csv")]) == 1
+
+    @pytest.mark.parametrize("flag, value", [("--epsilon", "nan"), ("--sigma", "nan"),
+                                             ("--sigma", "inf")])
+    def test_non_finite_walk_parameter_rejected(self, tmp_path, capsys, flag, value):
+        assert cli.main(["run", "--T", "64", flag, value,
+                         "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"error: {flag} must" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):
         # the masking and parity delays fix their own span of 2
@@ -244,6 +242,13 @@ def test_analyze_missing_column_names_it(tmp_path, capsys):
     bad.write_text("T,foo\n32,1.0\n64,2.0\n128,3.0\n")
     assert cli.main(["analyze", str(bad)]) == 1
     assert "policy_regret" in capsys.readouterr().err
+
+
+def test_analyze_non_numeric_column_names_it(tmp_path, capsys):
+    out = tmp_path / "runs.csv"
+    assert cli.main(["run", "--T", "64", "--out", str(out)]) == 0
+    assert cli.main(["analyze", str(out), "--metric", "learner"]) == 1
+    assert "'learner'" in capsys.readouterr().err
 
 
 def test_analyze_needs_three_horizons(tmp_path):

@@ -15,8 +15,8 @@ from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
 
-def make_config(horizon, arms=2, d=1, m=0, seed=0):
-    return core.GameConfig(horizon, core.Discrete(arms), d, m, seed)
+def make_config(horizon, arms=2, d=1, seed=0):
+    return core.GameConfig(horizon, core.Discrete(arms), d, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class TestConvexBall:
     def test_junk_is_not_contained(self, junk):
         space = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
         assert space.contains(junk) is False
-        config = core.GameConfig(2, space, 1, 0, 7)
+        config = core.GameConfig(2, space, 1, 7)
         with pytest.raises(core.ActionError, match=r"^round 1: .* \(seed 7, "):
             core.run_game(config, lrn.ScriptedLearner([junk] * 2),
                           adv.ConstantLoss(0.5), adv.NoDelay())
@@ -79,8 +79,6 @@ def test_game_config_validation():
         make_config(0)
     with pytest.raises(ValueError):
         make_config(4, d=0)
-    with pytest.raises(ValueError):
-        core.GameConfig(4, core.Discrete(2), 1, -1, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +382,10 @@ class Forged:
     (adv.ConstantLoss(0.5), 1, lambda t, lv: [lv], core.SplitError),
     (ScriptedLoss([True] * 4), 1, lambda t, lv: (lv,), core.LossRangeError),
     (ScriptedLoss([np.bool_(True)] * 4), 1, lambda t, lv: (lv,), core.LossRangeError),
+    (ScriptedLoss([np.array(0.5)] * 4), 1, lambda t, lv: (0.5,), core.LossRangeError),
+    (ScriptedLoss([np.array([0.5])] * 4), 1, lambda t, lv: (0.5,), core.LossRangeError),
 ], ids=["other-round-and-loss", "other-round", "other-loss", "overflow", "str-loss",
-        "plain-tuple", "bool-loss", "numpy-bool-loss"])
+        "plain-tuple", "bool-loss", "numpy-bool-loss", "0d-array-loss", "1-element-array-loss"])
 def test_engine_rejects_split_not_of_its_round_and_loss(loss, d, make, error):
     pairing = rf"{type(loss).__name__}\+Forged"
     with pytest.raises(error, match=rf"^round 1: .* \(seed 7, {pairing}\)$"):
@@ -413,6 +413,8 @@ def test_engine_keeps_numpy_float_losses():
 #: junk a learner, a loss or a split component might hand the engine
 JUNK = (math.nan, math.inf, -math.inf, "a", None, True, False, [0, 1], (),
         np.float64(0.5), np.float32(0.25), np.int64(1), np.bool_(True), np.float64(math.nan))
+#: junk only a loss hands the engine: arrays that compare like a number
+JUNK_LOSSES = JUNK + (np.array(0.5), np.array([0.5]))
 DISCRETE = core.Discrete(2)
 BALL = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
 VALID_ACTIONS = {DISCRETE: (0, 1, np.int64(1)), BALL: ([0.1, 0.2], np.zeros(2), (0.5, -0.5))}
@@ -454,23 +456,26 @@ def junk_games(draw):
 
     junk = st.sampled_from(JUNK)
     actions = per_round(st.one_of(st.sampled_from(VALID_ACTIONS[space]), junk))
-    losses = per_round(st.one_of(st.floats(min_value=0.0, max_value=1.0), junk))
+    losses = per_round(st.one_of(st.floats(min_value=0.0, max_value=1.0),
+                                 st.sampled_from(JUNK_LOSSES)))
     kinds = per_round(st.sampled_from(SPLIT_KINDS))
     return space, d, actions, losses, kinds, per_round(junk)
 
 
 @given(junk_games())
+@example((DISCRETE, 1, [0], [np.array(0.5)], ["valid"], [0.0]))
+@example((BALL, 2, [np.zeros(2)], [np.array([0.5])], ["valid"], [0.0]))
 @settings(max_examples=300, deadline=None)
 def test_engine_raises_only_typed_errors_on_junk(game):
     space, d, actions, losses, kinds, junk = game
-    config = core.GameConfig(len(actions), space, d, 0, 7)
+    config = core.GameConfig(len(actions), space, d, 7)
     try:
         tr = core.run_game(config, lrn.ScriptedLearner(actions), ScriptedLoss(losses),
                            JunkDelay(d, kinds, junk))
     except core.SimulationError as e:
         assert str(e).endswith(" (seed 7, ScriptedLoss+JunkDelay)"), str(e)
         return
-    assert not any(type(lv) in (bool, np.bool_) for lv in tr.true_losses)
+    assert not any(type(lv) in (bool, np.bool_, np.ndarray) for lv in tr.true_losses)
     assert all(type(c) is tuple and len(c) == d for c in tr.components)
 
 
@@ -609,7 +614,7 @@ def test_parity_trap_all_sequences_at_t4():
         loss = adv.ParityTrapLoss(best)
         for seq in util.exhaustive_action_sequences(4):
             tr = core.run_game(
-                make_config(4, d=2, m=1), lrn.ScriptedLearner(seq), loss, adv.ParityDelay()
+                make_config(4, d=2), lrn.ScriptedLearner(seq), loss, adv.ParityDelay()
             )
             report = core.policy_regret(tr, loss)
             assert report.policy_regret == 0.0
