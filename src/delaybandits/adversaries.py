@@ -120,7 +120,7 @@ class MultiScaleWalk:
 
     Parameters
     ----------
-    sigma : float, finite and >= 0
+    sigma : float, finite and >= 0, and small enough that no value overflows
     horizon : int
     master_seed : int
     increments : optional array-like overriding the Gaussian draws (tests)
@@ -140,7 +140,10 @@ class MultiScaleWalk:
                 raise ValueError(f"need {self.horizon} increments, got shape {xi.shape}")
         w = np.empty(self.horizon + 1)
         w[0] = 0.0
-        _fill_walk(w, xi)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _fill_walk(w, xi)
+        if not np.isfinite(w).all():
+            raise ValueError(f"sigma {sigma} overflows the walk to non-finite values")
         w.flags.writeable = False
         self._values = w
 

@@ -138,7 +138,10 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
             auto_gap, auto_sigma = adv.gap_walk_defaults(k, horizon)
             gap = gap or auto_gap
             sigma = sigma or auto_sigma
-        loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, master_seed)
+        try:
+            loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, master_seed)
+        except ValueError as e:  # validate() leaves only a sigma too large for the walk
+            raise UsageError(f"--sigma too large: {e}") from None
 
     if spec.delay == "none":
         delay = adv.NoDelay()

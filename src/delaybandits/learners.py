@@ -16,6 +16,9 @@ from typing import Optional
 
 import numpy as np
 
+#: uniforms or arms a randomized learner draws from its generator at a time
+_DRAW_BLOCK = 8192
+
 
 # ---------------------------------------------------------------------------
 # exponential weights over arms
@@ -32,9 +35,17 @@ class Exp3Learner:
     Composite feedback sums components of up to d rounds, so an observation
     may exceed 1; ``observe`` clips it to 1, as :class:`MiniBatchWrapper`
     clips its batch averages, to keep EXP3's loss range [0, 1].
+
+    The learner owns its generator, so ``act`` draws its uniforms in blocks
+    of min(rounds, ``_DRAW_BLOCK``) and reads one per round;
+    ``Generator.random(n)`` yields the same floats as n scalar calls, so the
+    actions are those of one draw per round.  A clipped loss of 0 adds 0.0
+    to an estimate that is never -0.0, which leaves the estimates, and so
+    the distribution, exactly as they were: ``observe`` returns early then.
     """
 
-    __slots__ = ("arm_count", "learning_rate", "cum_loss_est", "probs", "rng", "pending_prob")
+    __slots__ = ("arm_count", "learning_rate", "cum_loss_est", "probs", "rng", "pending_prob",
+                 "_block", "_draws", "_next_draw")
 
     def __init__(self, arm_count: int, rounds: int, rng: np.random.Generator):
         if arm_count < 2:
@@ -47,10 +58,18 @@ class Exp3Learner:
         self.probs = [1.0 / arm_count] * arm_count
         self.rng = rng
         self.pending_prob: Optional[float] = None
+        self._block = min(rounds, _DRAW_BLOCK)
+        self._draws: list = []
+        self._next_draw = 0
 
     def act(self, t: int) -> int:
         """Sample an arm from the current distribution by inverse CDF."""
-        u = self.rng.random()
+        i = self._next_draw
+        if i == len(self._draws):
+            self._draws = self.rng.random(self._block).tolist()
+            i = 0
+        u = self._draws[i]
+        self._next_draw = i + 1
         acc = 0.0
         probs = self.probs
         last = self.arm_count - 1
@@ -73,11 +92,14 @@ class Exp3Learner:
         prob = self.pending_prob
         if prob is None:
             raise RuntimeError("observe() before act()")
-        loss = min(observed, 1.0)
+        loss = 1.0 if observed > 1.0 else observed
         if not 0.0 <= loss <= 1.0:
             raise ValueError(f"loss {loss!r} outside [0, 1]")
         if not 0 <= action < self.arm_count:
             raise ValueError(f"arm {action} out of range")
+        self.pending_prob = None
+        if loss == 0.0:
+            return
         cum = self.cum_loss_est
         cum[action] += loss / prob
         eta = self.learning_rate
@@ -85,7 +107,6 @@ class Exp3Learner:
         weights = [math.exp(-eta * (c - m)) for c in cum]
         z = math.fsum(weights)
         self.probs = [w / z for w in weights]
-        self.pending_prob = None
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +293,6 @@ class FkmLearner:
 class UniformRandomLearner:
     """Plays arms uniformly at random; draws come in blocks for speed."""
 
-    _BLOCK = 8192
-
     def __init__(self, arm_count: int, rng: np.random.Generator):
         if arm_count < 2:
             raise ValueError("arm_count must be >= 2")
@@ -284,7 +303,7 @@ class UniformRandomLearner:
 
     def act(self, t: int) -> int:
         if self._i == len(self._buf):
-            self._buf = self.rng.integers(0, self.arm_count, size=self._BLOCK).tolist()
+            self._buf = self.rng.integers(0, self.arm_count, size=_DRAW_BLOCK).tolist()
             self._i = 0
         a = self._buf[self._i]
         self._i += 1

@@ -1,6 +1,7 @@
 """Loss and delay constructions: dyadic walk, masking machine, parity trap."""
 
 import math
+import warnings
 from decimal import Decimal, getcontext
 
 import numpy as np
@@ -136,6 +137,17 @@ def test_walk_rejects_bad_args():
     for t in (-1, 5):
         with pytest.raises(ValueError, match=f"t={t} outside 0..4"):
             w.value(t)
+
+
+def test_walk_overflow_names_sigma():
+    # increments of 1e308 meet in a parent sum and overflow; the walk says
+    # so by naming sigma, without numpy's overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="sigma 1e\\+308 overflows the walk"):
+            adv.MultiScaleWalk(1e308, 1024, master_seed=0)
+        with pytest.raises(ValueError, match="overflows the walk"):
+            adv.MultiScaleWalk(1.0, 3, increments=[1e308, 1e308, 1e308])
 
 
 def test_walk_matrix_rows_follow_recurrence():

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -121,6 +122,16 @@ class TestUsageErrors:
         assert cli.main(["run", "--T", "64", flag, value,
                          "--out", str(tmp_path / "x.csv")]) == 1
         assert f"error: {flag} must" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_sigma_that_overflows_the_walk_rejected(self, tmp_path, capsys):
+        # finite, but the walk's parent sums overflow to inf and then NaN
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["run", "--T", "1024", "--sigma", "1e308", "--seeds", "5",
+                             "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: --sigma") and err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):

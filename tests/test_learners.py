@@ -15,13 +15,17 @@ from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
 
 class FixedRng:
-    """Stub generator yielding a scripted stream of uniforms."""
+    """Stub generator yielding a scripted stream of uniforms: one per
+    ``random()``, or an array of the next ``size`` (as many as are left)."""
 
     def __init__(self, values):
         self.values = list(values)
 
-    def random(self):
-        return self.values.pop(0)
+    def random(self, size=None):
+        if size is None:
+            return self.values.pop(0)
+        block, self.values = self.values[:size], self.values[size:]
+        return np.array(block)
 
 
 # ---------------------------------------------------------------------------
@@ -93,6 +97,88 @@ def test_exp3_distribution_stays_strictly_positive(updates):
         learner.observe(t, arm, loss)
     assert all(p > 0.0 for p in learner.probs)
     assert math.fsum(learner.probs) == pytest.approx(1.0, abs=1e-12)
+
+
+class ScalarExp3:
+    """EXP3 as it was before block draws: one ``rng.random()`` per round
+    and a full update on every observation.  The oracle for Exp3Learner."""
+
+    def __init__(self, arm_count: int, rounds: int, rng: np.random.Generator):
+        if arm_count < 2:
+            raise ValueError("arm_count must be >= 2")
+        if rounds < 1:
+            raise ValueError("rounds must be >= 1")
+        self.arm_count = arm_count
+        self.learning_rate = math.sqrt(2.0 * math.log(arm_count) / (rounds * arm_count))
+        self.cum_loss_est = [0.0] * arm_count
+        self.probs = [1.0 / arm_count] * arm_count
+        self.rng = rng
+        self.pending_prob = None
+
+    def act(self, t: int) -> int:
+        u = self.rng.random()
+        acc = 0.0
+        probs = self.probs
+        last = self.arm_count - 1
+        for arm in range(last):
+            acc += probs[arm]
+            if u < acc:
+                self.pending_prob = probs[arm]
+                return arm
+        self.pending_prob = probs[last]
+        return last
+
+    def observe(self, t: int, action, observed: float) -> None:
+        prob = self.pending_prob
+        if prob is None:
+            raise RuntimeError("observe() before act()")
+        loss = min(observed, 1.0)
+        if not 0.0 <= loss <= 1.0:
+            raise ValueError(f"loss {loss!r} outside [0, 1]")
+        if not 0 <= action < self.arm_count:
+            raise ValueError(f"arm {action} out of range")
+        cum = self.cum_loss_est
+        cum[action] += loss / prob
+        eta = self.learning_rate
+        m = min(cum)
+        weights = [math.exp(-eta * (c - m)) for c in cum]
+        z = math.fsum(weights)
+        self.probs = [w / z for w in weights]
+        self.pending_prob = None
+
+
+@given(
+    arm_count=st.integers(min_value=2, max_value=6),
+    rounds=st.integers(min_value=1, max_value=40),
+    horizon=st.integers(min_value=1, max_value=200),
+    zero_rate=st.floats(min_value=0.0, max_value=1.0),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_exp3_matches_scalar_oracle(arm_count, rounds, horizon, zero_rate, seed):
+    # ``rounds`` sets the block size, so horizons past it cross blocks
+    learner = lrn.Exp3Learner(arm_count, rounds, np.random.default_rng(seed))
+    oracle = ScalarExp3(arm_count, rounds, np.random.default_rng(seed))
+    feedback = np.random.default_rng([seed, 1])
+    for t in range(1, horizon + 1):
+        a = learner.act(t)
+        assert a == oracle.act(t)
+        observed = 0.0 if feedback.random() < zero_rate else 1.5 * feedback.random()
+        learner.observe(t, a, observed)
+        oracle.observe(t, a, observed)
+        assert learner.probs == oracle.probs
+        assert learner.cum_loss_est == oracle.cum_loss_est
+
+
+def test_exp3_zero_loss_leaves_distribution_unchanged():
+    learner = lrn.Exp3Learner(3, 100, np.random.default_rng(2))
+    learner.observe(1, learner.act(1), 0.7)
+    probs, cum = list(learner.probs), list(learner.cum_loss_est)
+    assert probs != [1 / 3] * 3
+    for t in range(2, 6):
+        learner.observe(t, learner.act(t), 0.0)
+        assert learner.probs == probs and learner.cum_loss_est == cum
+        assert learner.pending_prob is None
 
 
 def test_exp3_learner_protocol_discipline():
