@@ -91,6 +91,10 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if args.log2_T < 2:
         ap.error("--log2-T must be >= 2")
+    if args.K < 2:
+        ap.error("--K must be >= 2")
+    if not 0.0 < args.delta < 1.0:
+        ap.error("--delta must lie in (0, 1)")
 
     walk_block(args)
     machine_block(args)

@@ -298,7 +298,7 @@ def audit_delay_accounting(transcript, batch_size: int) -> DelayAudit:
     """
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
-    slack = transcript.config.delay_span - 1
+    slack = transcript.delay_span - 1
     failures = []
 
     true_total = math.fsum(transcript.true_losses)

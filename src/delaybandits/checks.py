@@ -46,8 +46,8 @@ def trap_observations(n: int, seed_base: int) -> TrapObservations:
     i)``.  Every deterministic learner realizes some fixed action sequence,
     so ranging over all 2^n sequences covers them all at T = n.
     """
-    long = core.GameConfig(10_000, core.Discrete(2), 2)
-    short = core.GameConfig(n, core.Discrete(2), 2)
+    long = core.GameConfig(10_000, core.Discrete(2))
+    short = core.GameConfig(n, core.Discrete(2))
     random_forced, scripted_forced = [], []
     for best in (0, 1):
         loss = adv.ParityTrapLoss(best)
@@ -97,7 +97,7 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
     loss = adv.GapWalkLoss.from_seed(arm_count, horizon, gap, sigma, seed)
     machine = adv.DelayStateMachine(loss)
     learner = lrn.UniformRandomLearner(arm_count, substream(seed, LEARNER_STREAM))
-    config = core.GameConfig(horizon, core.Discrete(arm_count), 2, seed)
+    config = core.GameConfig(horizon, core.Discrete(arm_count), master_seed=seed)
     tr = core.run_game(config, learner, loss, machine)
 
     lows, carries = machine.lows, machine.carries
@@ -257,7 +257,7 @@ def unit_batch_reduction(horizon: int, seeds: int, seed_base: int) -> UnitBatch:
     ``run_seed(seed_base, i)``.
     """
     k = 3
-    config = core.GameConfig(horizon, core.Discrete(k), 1)
+    config = core.GameConfig(horizon, core.Discrete(k))
     identical = 0
     regret_gap = 0.0
     for rep in range(seeds):
@@ -294,7 +294,7 @@ def _verify_splits() -> list:
         spec_seed = 1000 + d
         loss = adv.TableLoss.from_seed(3, horizon, spec_seed)
         delay = adv.SeededSplitDelay(d, horizon, spec_seed)
-        config = core.GameConfig(horizon, core.Discrete(3), d, spec_seed)
+        config = core.GameConfig(horizon, core.Discrete(3), master_seed=spec_seed)
         learner = lrn.UniformRandomLearner(3, substream(spec_seed, LEARNER_STREAM))
         tr = core.run_game(config, learner, loss, delay)
         recon_ok = all(
@@ -365,7 +365,7 @@ def _verify_wrapper() -> list:
         seed = run_seed(13, d * 100 + tau)
         loss = adv.TableLoss.from_seed(k, horizon, seed)
         delay = adv.LastSlotDelay(d)
-        config = core.GameConfig(horizon, core.Discrete(k), d, seed)
+        config = core.GameConfig(horizon, core.Discrete(k), master_seed=seed)
         inner = lrn.Exp3Learner(k, horizon // tau, substream(seed, LEARNER_STREAM))
         tr = core.run_game(config, lrn.MiniBatchWrapper(inner, tau, horizon), loss, delay)
         if not analysis.audit_delay_accounting(tr, tau).passed:

@@ -164,12 +164,7 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
         inner = lrn.Exp3Learner(k, max(horizon // tau, 1), rng)
         learner = lrn.MiniBatchWrapper(inner, tau, horizon)
 
-    config = core.GameConfig(
-        horizon=horizon,
-        action_space=core.Discrete(k),
-        delay_span=delay.delay_span,
-        master_seed=master_seed,
-    )
+    config = core.GameConfig(horizon, core.Discrete(k), master_seed=master_seed)
     return config, learner, loss, delay, tau
 
 
@@ -195,7 +190,7 @@ def run_one(spec: ExperimentSpec, horizon: int, repetition: int) -> dict:
         "seed": master,
         "T": horizon,
         "K": spec.arm_count,
-        "d": config.delay_span,
+        "d": delay.delay_span,
         "m": spec.memory_bound,
         "tau": tau,
         "learner": spec.learner,
@@ -274,6 +269,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
+    if args.bootstrap < 0:
+        raise UsageError("--bootstrap must be >= 0 (0 = no interval)")
     rows = read_rows(args.csv)
     if not rows:
         raise UsageError(f"no data rows in {args.csv}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import gc
 import math
-from dataclasses import dataclass
+from dataclasses import KW_ONLY, dataclass
 from itertools import repeat
 from typing import Optional
 
@@ -136,18 +136,17 @@ class ConvexBall:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Immutable description of one simulated game."""
+    """Immutable description of one simulated game.  The delay span is the
+    delay adversary's own (see :func:`run_game`); the seed is keyword-only."""
 
     horizon: int
     action_space: object
-    delay_span: int = 1
+    _: KW_ONLY
     master_seed: int = 0
 
     def __post_init__(self):
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-        if self.delay_span < 1:
-            raise ValueError("delay_span must be >= 1")
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +269,10 @@ class Transcript:
         return self.config.horizon
 
     @property
+    def delay_span(self) -> int:
+        return len(self.components[0])
+
+    @property
     def realized_total(self) -> float:
         return math.fsum(self.true_losses)
 
@@ -281,14 +284,14 @@ class Transcript:
 def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Transcript:
     """Play the full game and return its transcript.
 
-    Enforces per round: the action lies in the action space, the loss is a
-    real number in [0, 1] and neither a bool nor a numpy array, the delay
-    adversary returns a tuple, that tuple is a valid split of the loss for
-    the configured delay span (:func:`validate_split` on the engine's own
+    The delay span d is the delay adversary's ``delay_span``, a positive
+    ``int``.  Enforces per round: the action lies in the action space, the
+    loss is a real number in [0, 1] and neither a bool nor a numpy array,
+    the delay adversary returns a tuple, that tuple is a valid split of the
+    loss into d components (:func:`validate_split` on the engine's own
     ``LossSplit(t, components, loss)``), and the learner only hears about
-    round t after acting in round t.  A :class:`SimulationError` raised in
-    a round is re-raised as the same type with
-    ``(seed <master_seed>, <LossClass>+<DelayClass>)`` appended.
+    round t after acting in round t.  A :class:`SimulationError`, a bad d
+    included, is re-raised with ``(seed <master_seed>, <Loss>+<Delay>)``.
 
     The cyclic garbage collector is paused while the rounds are played and
     restored afterwards.  Each round keeps a new component tuple alive, so
@@ -302,19 +305,15 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     config : GameConfig
     learner : object with ``act(t)`` and ``observe(t, action, observed)``
     loss_adversary : object with ``loss(t, actions)``
-    delay_adversary : object with ``split(t, actions, loss_value)`` returning
-        a tuple of ``delay_span`` components, the s-th surfacing at t + s
+    delay_adversary : object with ``delay_span`` d and ``split(t, actions,
+        loss_value)`` returning d components, the s-th surfacing at t + s
 
     Returns
     -------
     Transcript
     """
     space = config.action_space
-    d = config.delay_span
-    if getattr(delay_adversary, "delay_span", d) != d:
-        raise SplitError(
-            f"delay adversary span {delay_adversary.delay_span} != config {d}"
-        )
+    d = getattr(delay_adversary, "delay_span", None)
     contains = space.contains
     loss_fn = loss_adversary.loss
     split_fn = delay_adversary.split
@@ -326,13 +325,15 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     components: list = []
     observed_seq: list = []
     append_action = actions.append
-    pending = [0.0] * (d - 1)
     # types that compare like a number in [0, 1] but are not one
     rejected = frozenset((bool, np.bool_, np.ndarray))
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
+        if not (type(d) is int and d >= 1):
+            raise SplitError(f"delay adversary span {d!r} is not a positive int")
+        pending = [0.0] * (d - 1)
         for t in range(1, config.horizon + 1):
             a = act(t)
             if not contains(a):
@@ -495,19 +496,17 @@ def check_bounded_memory(
     action_space,
     horizon: int,
     trials: int = 200,
-    rng: Optional[np.random.Generator] = None,
+    rng: np.random.Generator,
 ) -> MemoryCheckResult:
     """Probe whether l_t depends only on the last ``memory_bound`` + 1 actions.
 
     Samples random histories, rewrites entries strictly older than the
     claimed window, and compares losses.  A probe can only ever disprove
     the bound; passing means no witness was found in ``trials`` attempts.
-    memory_bound = 0 probes obliviousness.
+    memory_bound = 0 probes obliviousness.  ``rng`` draws the histories.
     """
     if memory_bound < 0:
         raise ValueError("memory_bound must be >= 0")
-    if rng is None:
-        rng = np.random.default_rng()
     window = memory_bound + 1
     if horizon <= window:
         # nothing older than the window can exist; trivially consistent

@@ -319,7 +319,7 @@ def test_switch_bound_values_and_validation():
 
 def run_masked(loss, actions):
     dsm = adv.DelayStateMachine(loss)
-    cfg = core.GameConfig(len(actions), core.Discrete(loss.arm_count), 2, 0)
+    cfg = core.GameConfig(len(actions), core.Discrete(loss.arm_count))
     tr = core.run_game(cfg, lrn.ScriptedLearner(actions), loss, dsm)
     return tr, dsm
 
@@ -350,7 +350,7 @@ def test_machine_observed_equals_masked_baseline_always():
         loss = adv.GapWalkLoss.from_seed(2, 300, 0.05, 0.02, master)
         learner = lrn.UniformRandomLearner(2, substream(master, LEARNER_STREAM))
         dsm = adv.DelayStateMachine(loss)
-        cfg = core.GameConfig(300, core.Discrete(2), 2, master)
+        cfg = core.GameConfig(300, core.Discrete(2), master_seed=master)
         tr = core.run_game(cfg, learner, loss, dsm)
         for t, (low, carry, obs) in enumerate(zip(dsm.lows, dsm.carries, tr.observed), start=1):
             assert abs(obs - loss.masked_baseline(t, low)) <= 1e-12
@@ -363,7 +363,7 @@ def test_machine_matches_replay_oracle():
         loss = adv.GapWalkLoss.from_seed(2, 200, 0.06, 0.03, master)
         learner = lrn.UniformRandomLearner(2, substream(master, LEARNER_STREAM))
         dsm = adv.DelayStateMachine(loss)
-        cfg = core.GameConfig(200, core.Discrete(2), 2, master)
+        cfg = core.GameConfig(200, core.Discrete(2), master_seed=master)
         tr = core.run_game(cfg, learner, loss, dsm)
         rows = util.replay_state_machine(loss, tr.actions)
         for (low, carry, imm, held), dsm_low, dsm_carry, comps in zip(
@@ -391,7 +391,7 @@ def test_machine_switch_budget_under_uniform_play():
             continue
         learner = lrn.UniformRandomLearner(2, substream(master, LEARNER_STREAM))
         dsm = adv.DelayStateMachine(loss)
-        cfg = core.GameConfig(512, core.Discrete(2), 2, master)
+        cfg = core.GameConfig(512, core.Discrete(2), master_seed=master)
         tr = core.run_game(cfg, learner, loss, dsm)
         pulls = sum(1 for a in tr.actions if a == loss.best_arm)
         assert dsm.switch_count <= adv.switch_bound(loss.gap, pulls)
@@ -419,7 +419,8 @@ def test_masking_run_measures_what_the_machine_recorded():
         loss = adv.GapWalkLoss.from_seed(K, T, gap, sigma, seed)
         dsm = adv.DelayStateMachine(loss)
         learner = lrn.UniformRandomLearner(K, substream(seed, LEARNER_STREAM))
-        tr = core.run_game(core.GameConfig(T, core.Discrete(K), 2, seed), learner, loss, dsm)
+        config = core.GameConfig(T, core.Discrete(K), master_seed=seed)
+        tr = core.run_game(config, learner, loss, dsm)
         assert run.best_arm == loss.best_arm and run.switches == dsm.switch_count
         assert (run.carry_min, run.carry_max) == (min(dsm.carries), max(dsm.carries))
         if loss.best_arm is not None:
@@ -441,7 +442,7 @@ def test_machine_held_components_track_the_carry_bands():
             continue
         dsm = adv.DelayStateMachine(loss)
         learner = lrn.UniformRandomLearner(K, substream(seed, LEARNER_STREAM))
-        cfg = core.GameConfig(T, core.Discrete(K), 2, seed)
+        cfg = core.GameConfig(T, core.Discrete(K), master_seed=seed)
         tr = core.run_game(cfg, learner, loss, dsm)
         prev = 0.0
         z = loss.best_arm
@@ -524,7 +525,7 @@ def test_lagged_loss_values():
 def test_no_delay_is_identity():
     seed = run_seed(6, 0)
     loss = adv.TableLoss.from_seed(2, 50, seed)
-    cfg = core.GameConfig(50, core.Discrete(2), 1, seed)
+    cfg = core.GameConfig(50, core.Discrete(2), master_seed=seed)
     tr = core.run_game(
         cfg, lrn.UniformRandomLearner(2, substream(seed, LEARNER_STREAM)), loss, adv.NoDelay()
     )
@@ -535,7 +536,7 @@ def test_no_delay_is_identity():
 def test_last_slot_delay_shifts_by_full_span(d):
     seed = run_seed(7, d)
     loss = adv.TableLoss.from_seed(2, 40, seed)
-    cfg = core.GameConfig(40, core.Discrete(2), d, seed)
+    cfg = core.GameConfig(40, core.Discrete(2), master_seed=seed)
     tr = core.run_game(
         cfg, lrn.UniformRandomLearner(2, substream(seed, LEARNER_STREAM)),
         loss, adv.LastSlotDelay(d),

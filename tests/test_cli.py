@@ -147,6 +147,17 @@ class TestUsageErrors:
     def test_unknown_verify_suite(self):
         assert cli.main(["verify", "nonsense"]) == 1
 
+    def test_negative_bootstrap_count_rejected(self, tmp_path, capsys):
+        csv = tmp_path / "s.csv"
+        assert cli.main(["sweep", "--adversary", "paritytrap", "--delay", "parity",
+                         "--learner", "uniform", "--m", "1", "--T", "32", "--T", "64",
+                         "--T", "128", "--seeds", "2", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        assert cli.main(["analyze", str(csv), "--metric", "pseudo_regret",
+                         "--bootstrap", "-5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error: --bootstrap" in captured.err
+
 
 def test_io_error_exits_three(tmp_path):
     missing_dir = tmp_path / "nope" / "out.csv"
@@ -208,6 +219,7 @@ def test_same_pairing_and_seed_replay_identically(pairing, learner, horizon, see
         tr = core.run_game(config, lrn, loss, dly)
         runs.append((tr, core.policy_regret(tr, loss)))
     assert runs[0] == runs[1]
+    assert tr.delay_span == dly.delay_span
 
 
 def test_every_cli_pairing_matches_golden(tmp_path, capsys):

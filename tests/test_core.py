@@ -15,8 +15,8 @@ from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
 
-def make_config(horizon, arms=2, d=1, seed=0):
-    return core.GameConfig(horizon, core.Discrete(arms), d, seed)
+def make_config(horizon, arms=2, seed=0):
+    return core.GameConfig(horizon, core.Discrete(arms), master_seed=seed)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ class TestConvexBall:
     def test_junk_is_not_contained(self, junk):
         space = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
         assert space.contains(junk) is False
-        config = core.GameConfig(2, space, 1, 7)
+        config = core.GameConfig(2, space, master_seed=7)
         with pytest.raises(core.ActionError, match=r"^round 1: .* \(seed 7, "):
             core.run_game(config, lrn.ScriptedLearner([junk] * 2),
                           adv.ConstantLoss(0.5), adv.NoDelay())
@@ -77,8 +77,9 @@ class TestConvexBall:
 def test_game_config_validation():
     with pytest.raises(ValueError):
         make_config(0)
-    with pytest.raises(ValueError):
-        make_config(4, d=0)
+    # the seed is keyword-only, so a leftover delay span cannot pass for it
+    with pytest.raises(TypeError):
+        core.GameConfig(8, core.Discrete(2), 2)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +261,7 @@ class SpyLearner:
 def test_engine_calls_in_causal_order():
     spy_loss = SpyLoss()
     spy = SpyLearner()
-    tr = core.run_game(make_config(4, d=1), spy, spy_loss, adv.NoDelay())
+    tr = core.run_game(make_config(4), spy, spy_loss, adv.NoDelay())
     assert [c for c in spy.order if c[0] == "act"] == [("act", t) for t in (1, 2, 3, 4)]
     assert spy.order[0] == ("act", 1)
     assert spy.order[1] == ("observe", 1, 0, 0.5)
@@ -322,16 +323,6 @@ def test_engine_rejects_out_of_range_loss():
         )
 
 
-def test_engine_rejects_span_mismatch():
-    with pytest.raises(core.SplitError):
-        core.run_game(
-            make_config(2, d=1),
-            lrn.ScriptedLearner([0, 0]),
-            adv.ConstantLoss(0.5),
-            adv.ParityDelay(),
-        )
-
-
 def test_engine_rejects_bad_split():
     class Cheat:
         delay_span = 2
@@ -343,7 +334,7 @@ def test_engine_rejects_bad_split():
     with pytest.raises(core.SplitError,
                        match=r"^round 1: .* \(seed 7, ConstantLoss\+Cheat\)$"):
         core.run_game(
-            make_config(2, d=2, seed=7),
+            make_config(2, seed=7),
             lrn.ScriptedLearner([0, 0]),
             adv.ConstantLoss(0.5),
             Cheat(),
@@ -390,8 +381,15 @@ def test_engine_rejects_split_not_of_its_round_and_loss(loss, d, make, error):
     pairing = rf"{type(loss).__name__}\+Forged"
     with pytest.raises(error, match=rf"^round 1: .* \(seed 7, {pairing}\)$"):
         core.run_game(
-            make_config(4, d=d, seed=7), lrn.ScriptedLearner([0] * 4), loss, Forged(d, make)
+            make_config(4, seed=7), lrn.ScriptedLearner([0] * 4), loss, Forged(d, make)
         )
+
+
+@pytest.mark.parametrize("span", [0, -1, True, 2.0, "2", None])
+def test_engine_rejects_delay_span_that_is_not_a_positive_int(span):
+    with pytest.raises(core.SplitError, match=r" \(seed 7, ConstantLoss\+Forged\)$"):
+        core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
+                      adv.ConstantLoss(0.5), Forged(span, lambda t, lv: (lv,)))
 
 
 @pytest.mark.parametrize("comps", [("a", 0.5), (None, 0.5), ("a",)], ids=["str", "none", "d1"])
@@ -399,7 +397,7 @@ def test_engine_rejects_non_number_components(comps):
     d = len(comps)
     with pytest.raises(core.SplitError, match=r"^round 1: component 0 \(.*\) is not a number "
                                               r"\(seed 7, ConstantLoss\+Forged\)$"):
-        core.run_game(make_config(4, d=d, seed=7), lrn.ScriptedLearner([0] * 4),
+        core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
                       adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))
 
 
@@ -468,7 +466,7 @@ def junk_games(draw):
 @settings(max_examples=300, deadline=None)
 def test_engine_raises_only_typed_errors_on_junk(game):
     space, d, actions, losses, kinds, junk = game
-    config = core.GameConfig(len(actions), space, d, 7)
+    config = core.GameConfig(len(actions), space, master_seed=7)
     try:
         tr = core.run_game(config, lrn.ScriptedLearner(actions), ScriptedLoss(losses),
                            JunkDelay(d, kinds, junk))
@@ -486,7 +484,7 @@ def test_unobserved_mass_bounded_by_span(d):
     loss = adv.TableLoss.from_seed(3, horizon, seed)
     delay = adv.SeededSplitDelay(d, horizon, seed)
     learner = lrn.UniformRandomLearner(3, substream(seed, LEARNER_STREAM))
-    tr = core.run_game(make_config(horizon, arms=3, d=d, seed=seed), learner, loss, delay)
+    tr = core.run_game(make_config(horizon, arms=3, seed=seed), learner, loss, delay)
     gap = math.fsum(tr.true_losses) - math.fsum(tr.observed)
     assert -1e-9 <= gap <= d - 1 + 1e-9
     # and the gap is exactly the mass still sitting in the pipeline
@@ -598,7 +596,7 @@ def test_regret_replay_equals_swap_and_restore_oracle(name):
     horizon = 300
     seed = run_seed(6, arms)
     learner = lrn.UniformRandomLearner(arms, substream(seed, LEARNER_STREAM))
-    config = make_config(horizon, arms=arms, d=delay.delay_span, seed=seed)
+    config = make_config(horizon, arms=arms, seed=seed)
     tr = core.run_game(config, learner, loss, delay)
     policy, pseudo = util.swap_and_restore_regret(loss, tr.actions, list(range(arms)))
     report = core.policy_regret(tr, loss)
@@ -614,7 +612,7 @@ def test_parity_trap_all_sequences_at_t4():
         loss = adv.ParityTrapLoss(best)
         for seq in util.exhaustive_action_sequences(4):
             tr = core.run_game(
-                make_config(4, d=2), lrn.ScriptedLearner(seq), loss, adv.ParityDelay()
+                make_config(4), lrn.ScriptedLearner(seq), loss, adv.ParityDelay()
             )
             report = core.policy_regret(tr, loss)
             assert report.policy_regret == 0.0
@@ -709,6 +707,7 @@ def test_parity_trap_is_one_bounded():
 
 def test_short_horizon_probe_is_trivial():
     res = core.check_bounded_memory(
-        adv.ConstantLoss(), 5, action_space=core.Discrete(2), horizon=4
+        adv.ConstantLoss(), 5, action_space=core.Discrete(2), horizon=4,
+        rng=np.random.default_rng(0),
     )
     assert res.passed and res.trials == 0

@@ -200,7 +200,7 @@ def test_exp3_clips_composite_observations_to_one():
 
     horizon, k, d = 1000, 3, 3
     for seed in (0, 1, 2):
-        config = core.GameConfig(horizon, core.Discrete(k), d, seed)
+        config = core.GameConfig(horizon, core.Discrete(k), master_seed=seed)
         tr = core.run_game(
             config, lrn.Exp3Learner(k, horizon, substream(seed, LEARNER_STREAM)),
             adv.TableLoss.from_seed(k, horizon, seed), adv.SeededSplitDelay(d, horizon, seed),
@@ -336,7 +336,7 @@ def test_wrapper_batch_one_is_bit_exact_identity():
     horizon = 400
     master = run_seed(8, 0)
     loss = adv.TableLoss.from_seed(3, horizon, master)
-    cfg = core.GameConfig(horizon, core.Discrete(3), 1, master)
+    cfg = core.GameConfig(horizon, core.Discrete(3), master_seed=master)
     raw = core.run_game(
         cfg, lrn.Exp3Learner(3, horizon, substream(master, LEARNER_STREAM)),
         loss, adv.NoDelay(),
@@ -356,7 +356,7 @@ def test_wrapped_exp3_sees_only_batch_count_rounds():
     loss = adv.TableLoss.from_seed(2, horizon, master)
     inner = lrn.Exp3Learner(2, horizon // tau, substream(master, LEARNER_STREAM))
     w = lrn.MiniBatchWrapper(inner, tau, horizon)
-    cfg = core.GameConfig(horizon, core.Discrete(2), 1, master)
+    cfg = core.GameConfig(horizon, core.Discrete(2), master_seed=master)
     core.run_game(cfg, w, loss, adv.NoDelay())
     assert w.completed_batches == horizon // tau
 
@@ -417,7 +417,7 @@ def test_fkm_clips_composite_observations_to_one():
     # a constant loss of 1 split over d = 3 rounds aggregates above 1
     horizon, d = 50, 3
     space = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
-    config = core.GameConfig(horizon, space, d, 1)
+    config = core.GameConfig(horizon, space, master_seed=1)
     tr = core.run_game(
         config, lrn.FkmLearner(2, 1.0, horizon, substream(1, LEARNER_STREAM)),
         adv.ConstantLoss(1.0), adv.SeededSplitDelay(d, horizon, 1),
@@ -461,7 +461,7 @@ def test_fkm_quadratic_converges_to_grid_minimum():
     space = core.ConvexBall(2, 1.0, grid)
     loss = QuadLoss((0.3, -0.2))
     master = run_seed(50, 0)
-    cfg = core.GameConfig(horizon, space, 1, master)
+    cfg = core.GameConfig(horizon, space, master_seed=master)
     learner = lrn.FkmLearner(2, 1.0, horizon, substream(master, LEARNER_STREAM))
     tr = core.run_game(cfg, learner, loss, adv.NoDelay())
     # memoryless loss: the best constant grid point costs the same every round
