@@ -94,29 +94,58 @@ def drift_threshold(sigma: float, horizon: int, delta_prob: float) -> float:
     return sigma * math.sqrt(2.0 * (math.log(t) + 1.0) * math.log(t / delta_prob))
 
 
-def _fill_walk(w: np.ndarray, xi: np.ndarray) -> None:
-    """Set w[..., t] = w[..., t - (t & -t)] + xi[..., t - 1] for t = 1..T.
+def _check_walk_args(sigma, horizon) -> None:
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+
+
+def _fill_walk(sigma, xi: np.ndarray) -> np.ndarray:
+    """Walk values W_0..W_T driven by increments ``xi`` of shape (..., T):
+    W_0 = 0 and W_t = W_{t - (t & -t)} + xi[..., t - 1].
 
     Works one dyadic level at a time, coarsest first.  Level j holds the
     rounds t = 2^j * odd; their parents t - 2^j are multiples of 2^(j+1),
     so they lie on a coarser level or are 0 and are already final.  Each
     level is one strided add of the same two operands the round-by-round
-    recurrence adds, so the values agree bit for bit.  ``w[..., 0]`` must
-    already hold W_0.
+    recurrence adds, so the values agree bit for bit.  A value that
+    overflows raises ValueError naming ``sigma``, without numpy's warning.
     """
     horizon = xi.shape[-1]
-    for j in reversed(range(horizon.bit_length())):
-        lo, step = 1 << j, 2 << j
-        w[..., lo::step] = w[..., : horizon + 1 - lo : step] + xi[..., lo - 1 :: step]
+    w = np.empty(xi.shape[:-1] + (horizon + 1,))
+    w[..., 0] = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j in reversed(range(horizon.bit_length())):
+            lo, step = 1 << j, 2 << j
+            w[..., lo::step] = w[..., : horizon + 1 - lo : step] + xi[..., lo - 1 :: step]
+    if not np.isfinite(w).all():
+        raise ValueError(f"sigma {sigma} overflows the walk to non-finite values")
+    return w
+
+
+def walk_value_matrix(sigma, horizon, n_walks, master_seed=0) -> np.ndarray:
+    """Values of ``n_walks`` independent walks, shape (n_walks, horizon + 1).
+
+    Row i is the walk driven by the i-th row of one block draw of
+    N(0, sigma^2) increments from the walk stream of the master seed; row 0
+    of a one-walk matrix is :class:`MultiScaleWalk`'s walk.  sigma must be
+    finite, >= 0 and small enough that no value overflows.
+    """
+    _check_walk_args(sigma, horizon)
+    if n_walks < 1:
+        raise ValueError("n_walks must be >= 1")
+    xi = substream(master_seed, WALK_STREAM).normal(0.0, sigma, (n_walks, horizon))
+    return _fill_walk(sigma, xi)
 
 
 class MultiScaleWalk:
     """Gaussian walk indexed by the dyadic parent rule.
 
     W_0 = 0 and W_t = W_{rho(t)} + xi_t with xi_t ~ N(0, sigma^2).  The
-    increments are drawn from the walk stream of the master seed as one
-    block keyed by index, and every value is computed on construction, so
-    any query order yields identical values.
+    walk is row 0 of ``walk_value_matrix(sigma, horizon, 1, master_seed)``,
+    computed in full on construction, so any query order yields identical
+    values.
 
     Parameters
     ----------
@@ -127,49 +156,21 @@ class MultiScaleWalk:
     """
 
     def __init__(self, sigma, horizon, master_seed=0, increments=None):
-        if not 0 <= sigma < math.inf:
-            raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        self.horizon = int(horizon)
         if increments is None:
-            xi = substream(master_seed, WALK_STREAM).normal(0.0, float(sigma), self.horizon)
+            w = walk_value_matrix(sigma, horizon, 1, master_seed)[0]
         else:
+            _check_walk_args(sigma, horizon)
             xi = np.asarray(increments, dtype=float)
-            if xi.shape != (self.horizon,):
-                raise ValueError(f"need {self.horizon} increments, got shape {xi.shape}")
-        w = np.empty(self.horizon + 1)
-        w[0] = 0.0
-        with np.errstate(over="ignore", invalid="ignore"):
-            _fill_walk(w, xi)
-        if not np.isfinite(w).all():
-            raise ValueError(f"sigma {sigma} overflows the walk to non-finite values")
+            if xi.shape != (horizon,):
+                raise ValueError(f"need {horizon} increments, got shape {xi.shape}")
+            w = _fill_walk(sigma, xi)
         w.flags.writeable = False
+        self.horizon = int(horizon)
         self._values = w
-
-    def value(self, t: int) -> float:
-        """W_t for 0 <= t <= horizon."""
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside 0..{self.horizon}")
-        return float(self._values[t])
 
     def values(self) -> np.ndarray:
         """Read-only array of W_0..W_horizon."""
         return self._values
-
-
-def walk_value_matrix(sigma, horizon, n_walks, master_seed=0) -> np.ndarray:
-    """Values of ``n_walks`` independent walks, shape (n_walks, horizon + 1).
-
-    Row-vectorized version of :class:`MultiScaleWalk` for Monte Carlo use;
-    row i equals a walk driven by the i-th row of one block draw.
-    """
-    if n_walks < 1:
-        raise ValueError("n_walks must be >= 1")
-    xi = substream(master_seed, WALK_STREAM).normal(0.0, sigma, (n_walks, horizon))
-    w = np.zeros((n_walks, horizon + 1))
-    _fill_walk(w, xi)
-    return w
 
 
 # ---------------------------------------------------------------------------
@@ -230,9 +231,6 @@ class GapWalkLoss:
         best = None if z == 0 else z - 1
         walk = MultiScaleWalk(sigma, horizon, master_seed)
         return cls(walk, arm_count, best, gap)
-
-    def arm_loss(self, t: int, arm) -> float:
-        return self.masked_baseline(t, arm == self.best_arm)
 
     def loss(self, t: int, actions: Sequence) -> float:
         if not 0 <= t <= self.horizon:
@@ -403,21 +401,6 @@ class TableLoss:
 
     def loss(self, t: int, actions: Sequence) -> float:
         return self._rows[t - 1][actions[t - 1]]
-
-
-class LaggedLoss:
-    """Loss that reads the action ``lag`` rounds back; bounded-memory probes
-    with a window narrower than ``lag`` must flag it."""
-
-    def __init__(self, lag: int = 2):
-        if lag < 1:
-            raise ValueError("lag must be >= 1")
-        self.lag = int(lag)
-
-    def loss(self, t: int, actions: Sequence) -> float:
-        if t <= self.lag:
-            return 0.5
-        return 0.25 if actions[t - 1 - self.lag] == 0 else 0.75
 
 
 class NoDelay:

@@ -302,9 +302,9 @@ def _verify_splits() -> list:
             for t, obs in enumerate(tr.observed, start=1)
         )
         lines.append((recon_ok, f"d={d}: observed losses reconstruct from scheduled components"))
-        gap = math.fsum(tr.true_losses) - math.fsum(tr.observed)
-        lines.append((-1e-9 <= gap <= d - 1 + 1e-9,
-                      f"d={d}: unobserved mass {gap:.6f} within [0, {d - 1}]"))
+        audit = analysis.audit_delay_accounting(tr, 1)
+        lines.append((audit.passed,
+                      f"d={d}: unobserved mass {audit.aggregate_gap:.6f} within [0, {d - 1}]"))
     try:
         core.validate_split(core.LossSplit(1, (0.4, 0.4), 0.5), 2)
         rejected = False

@@ -123,6 +123,19 @@ def _min_cube_root(numerator: int, denominator: int) -> int:
     return c
 
 
+def _tau(horizon, arm_count, min_arms, arm_power, delay_guess, memory_bound) -> int:
+    """ceil((T / K^arm_power)^(1/3)) in exact integer arithmetic, floored
+    at delay_guess + 1 and memory_bound + 1."""
+    if horizon < 1:
+        raise ValueError("horizon must be >= 1")
+    if arm_count < min_arms:
+        raise ValueError(f"arm_count must be >= {min_arms}")
+    if delay_guess < 0 or memory_bound < 0:
+        raise ValueError("delay_guess and memory_bound must be >= 0")
+    base = _min_cube_root(horizon, arm_count ** arm_power)
+    return max(base, delay_guess + 1, memory_bound + 1)
+
+
 def choose_tau(horizon: int, arm_count: int, delay_guess: int = 0, memory_bound: int = 0) -> int:
     """Batch size balancing inner regret against per-batch contamination.
 
@@ -130,27 +143,20 @@ def choose_tau(horizon: int, arm_count: int, delay_guess: int = 0, memory_bound:
     one batch always outlasts both the feedback spread and the loss memory.
     Computed in exact integer arithmetic.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if arm_count < 2:
-        raise ValueError("arm_count must be >= 2")
-    if delay_guess < 0 or memory_bound < 0:
-        raise ValueError("delay_guess and memory_bound must be >= 0")
-    base = _min_cube_root(horizon, arm_count)
-    return max(base, delay_guess + 1, memory_bound + 1, 1)
+    return _tau(horizon, arm_count, 2, 1, delay_guess, memory_bound)
 
 
 def choose_tau_bco(horizon: int, arm_count: int, delay_guess: int = 0, memory_bound: int = 0) -> int:
-    """Batch size for the convex-ball variant: ceil(T^(1/3) / K^(19/3)),
-    clamped to at least 1 and the same delay/memory floors."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if arm_count < 1:
-        raise ValueError("arm_count must be >= 1")
-    if delay_guess < 0 or memory_bound < 0:
-        raise ValueError("delay_guess and memory_bound must be >= 0")
-    base = _min_cube_root(horizon, arm_count ** 19)
-    return max(base, delay_guess + 1, memory_bound + 1, 1)
+    """Batch size for the convex-ball variant: ceil(T^(1/3) / n^(19/3)) for
+    dimension n = ``arm_count``, with the same floors as :func:`choose_tau`.
+
+    The n^(19/3) divisor balances an inner learner with O~(n^9.5 sqrt(T))
+    regret (the kernel method of Bubeck, Lee & Eldan, STOC 2017), which
+    this package does not have.  With :class:`FkmLearner` inside, whose own
+    regret is T^(3/4), batching at this size bounds policy regret by
+    T^(5/6), not T^(2/3).
+    """
+    return _tau(horizon, arm_count, 1, 19, delay_guess, memory_bound)
 
 
 class MiniBatchWrapper:
@@ -216,40 +222,24 @@ class FkmLearner:
 
     Starts at the center with rounds^(-1/4) exploration (the offset of the
     probe point from the iterate, at most half the radius) and
-    rounds^(-3/4) step size unless overridden.  Observations above 1 are
-    clipped to 1, as in :class:`Exp3Learner`.
+    rounds^(-3/4) step size.  Observations above 1 are clipped to 1, as in
+    :class:`Exp3Learner`.
     """
 
     __slots__ = ("dimension", "radius", "exploration", "step_size", "point",
                  "pending_direction", "rng")
 
-    def __init__(
-        self,
-        dimension: int,
-        radius: float,
-        rounds: int,
-        rng: np.random.Generator,
-        exploration: Optional[float] = None,
-        step_size: Optional[float] = None,
-    ):
+    def __init__(self, dimension: int, radius: float, rounds: int, rng: np.random.Generator):
         if dimension < 1:
             raise ValueError("dimension must be >= 1")
         if not radius > 0:
             raise ValueError("radius must be positive")
         if rounds < 1:
             raise ValueError("rounds must be >= 1")
-        if exploration is None:
-            exploration = min(0.5 * radius, radius * rounds ** -0.25)
-        if step_size is None:
-            step_size = (radius * radius / dimension) * rounds ** -0.75
-        if not 0.0 < exploration < radius:
-            raise ValueError(f"exploration must lie in (0, radius), got {exploration}")
-        if not step_size > 0:
-            raise ValueError("step_size must be positive")
         self.dimension = dimension
         self.radius = float(radius)
-        self.exploration = float(exploration)
-        self.step_size = float(step_size)
+        self.exploration = min(0.5 * self.radius, self.radius * rounds ** -0.25)
+        self.step_size = (self.radius * self.radius / dimension) * rounds ** -0.75
         self.point = np.zeros(dimension)
         self.pending_direction: Optional[np.ndarray] = None
         self.rng = rng

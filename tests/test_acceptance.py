@@ -13,9 +13,13 @@ import time
 
 import numpy as np
 
-from delaybandits import audit_delay_accounting, checks, cli, fit_exponent, run_game
+import util
+from delaybandits import (
+    ConvexBall, FkmLearner, GameConfig, LastSlotDelay, MiniBatchWrapper,
+    audit_delay_accounting, checks, choose_tau_bco, cli, fit_exponent, policy_regret, run_game,
+)
 from delaybandits.analysis import horizon_groups, horizon_means
-from delaybandits.seeding import run_seed
+from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
 
 def report(capsys, ok: bool, label: str) -> None:
@@ -158,6 +162,36 @@ def test_regret_scaling_exponents(capsys):
            f"in [0.55, 0.80] (r2={fit_b.r_squared:.3f}), unbatched trap "
            f"pseudo-regret alpha={fit_u.exponent:.4f} >= 0.95 "
            f"(r2={fit_u.r_squared:.3f}), {elapsed:.0f}s")
+
+
+def test_wrapped_fkm_policy_regret_is_sublinear(capsys):
+    # the convex half: FKM's own regret is T^(3/4), so batching it at
+    # tau ~ T^(1/3) gives T^(5/6); the bound comes from that analysis, not
+    # from a measurement.  The target costs 0, so a one-point comparator
+    # grid gives the same policy regret as any grid that contains it.
+    t0 = time.perf_counter()
+    target = (0.3, -0.2)
+    loss = util.QuadLoss(target)
+    points = []
+    for T in (2 ** k for k in range(10, 15)):
+        # arm_count=1: at n = 2 the n^(19/3) divisor pins tau at its delay
+        # floor of 5 for every T here
+        tau = choose_tau_bco(T, 1, delay_guess=4)
+        regrets = []
+        for rep in range(4):
+            seed = run_seed(0, rep)
+            inner = FkmLearner(2, 1.0, max(T // tau, 1), substream(seed, LEARNER_STREAM))
+            config = GameConfig(T, ConvexBall(2, 1.0, [target]), master_seed=seed)
+            tr = run_game(config, MiniBatchWrapper(inner, tau, T), loss, LastSlotDelay(4))
+            regrets.append(policy_regret(tr, loss).policy_regret)
+        points.append((T, float(np.mean(regrets))))
+    fit = fit_exponent(points)
+    elapsed = time.perf_counter() - t0
+
+    ok = fit.exponent <= 5 / 6 and fit.r_squared >= 0.95
+    report(capsys, ok,
+           f"convex half: wrapped FKM policy-regret alpha={fit.exponent:.4f} "
+           f"<= 5/6 (r2={fit.r_squared:.4f}) at T=2^10..2^14, d=4, {elapsed:.1f}s")
 
 
 def test_unit_batch_reduces_to_inner_learner(capsys):

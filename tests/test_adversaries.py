@@ -76,15 +76,16 @@ def test_width_rejects_improper_rules():
 def test_walk_recurrence_with_explicit_increments():
     xi = [0.5, -0.25, 1.0, 2.0, -0.125, 0.0, 3.0, -1.0]
     w = adv.MultiScaleWalk(1.0, 8, increments=xi)
-    assert w.value(0) == 0.0
-    assert w.value(1) == 0.5            # parent 0
-    assert w.value(2) == -0.25          # parent 0
-    assert w.value(3) == -0.25 + 1.0    # parent 2
-    assert w.value(4) == 2.0            # parent 0
-    assert w.value(5) == 2.0 + -0.125   # parent 4
-    assert w.value(6) == 2.0 + 0.0      # parent 4
-    assert w.value(7) == 2.0 + 0.0 + 3.0  # parent 6
-    assert w.value(8) == -1.0           # parent 0
+    v = w.values()
+    assert v[0] == 0.0
+    assert v[1] == 0.5            # parent 0
+    assert v[2] == -0.25          # parent 0
+    assert v[3] == -0.25 + 1.0    # parent 2
+    assert v[4] == 2.0            # parent 0
+    assert v[5] == 2.0 + -0.125   # parent 4
+    assert v[6] == 2.0 + 0.0      # parent 4
+    assert v[7] == 2.0 + 0.0 + 3.0  # parent 6
+    assert v[8] == -1.0           # parent 0
 
 
 def _scalar_walk(xi):
@@ -112,10 +113,8 @@ def test_walk_level_fill_matches_scalar_recurrence(horizon):
 def test_walk_query_order_is_irrelevant():
     a = adv.MultiScaleWalk(0.3, 100, master_seed=42)
     b = adv.MultiScaleWalk(0.3, 100, master_seed=42)
-    mid = a.value(57)
-    assert type(mid) is float  # not a numpy scalar
+    mid = a.values()[57]
     assert b.values()[57] == mid
-    assert a.value(57) == mid  # a repeated query reads the same value
     assert np.array_equal(a.values(), b.values())
 
 
@@ -129,14 +128,14 @@ def test_walk_rejects_bad_args():
     for sigma in (-0.1, math.nan, math.inf):
         with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
             adv.MultiScaleWalk(sigma, 10)
-    with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0"):
+            adv.walk_value_matrix(sigma, 10, 2)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
         adv.MultiScaleWalk(0.1, 0)
+    with pytest.raises(ValueError, match="horizon must be >= 1"):
+        adv.walk_value_matrix(0.1, 0, 2)
     with pytest.raises(ValueError):
         adv.MultiScaleWalk(0.1, 4, increments=[0.0, 0.0])
-    w = adv.MultiScaleWalk(0.1, 4, master_seed=0)
-    for t in (-1, 5):
-        with pytest.raises(ValueError, match=f"t={t} outside 0..4"):
-            w.value(t)
 
 
 def test_walk_overflow_names_sigma():
@@ -148,6 +147,8 @@ def test_walk_overflow_names_sigma():
             adv.MultiScaleWalk(1e308, 1024, master_seed=0)
         with pytest.raises(ValueError, match="overflows the walk"):
             adv.MultiScaleWalk(1.0, 3, increments=[1e308, 1e308, 1e308])
+        with pytest.raises(ValueError, match="sigma 1e\\+308 overflows the walk"):
+            adv.walk_value_matrix(1e308, 1024, 2)
 
 
 def test_walk_matrix_rows_follow_recurrence():
@@ -218,22 +219,23 @@ def zero_walk(horizon):
 def test_gap_walk_loss_hand_values():
     # flat walk, gap 0.1: hidden arm 0.65, every other arm 0.75
     loss = adv.GapWalkLoss(zero_walk(4), 3, best_arm=1, gap=0.1)
-    assert loss.arm_loss(2, 1) == pytest.approx(0.65, abs=1e-15)
-    assert loss.arm_loss(2, 0) == pytest.approx(0.75, abs=1e-15)
-    assert loss.arm_loss(2, 2) == pytest.approx(0.75, abs=1e-15)
+    assert loss.masked_baseline(2, True) == pytest.approx(0.65, abs=1e-15)
+    assert loss.masked_baseline(2, False) == pytest.approx(0.75, abs=1e-15)
     assert loss.loss(2, [0, 1]) == pytest.approx(0.65, abs=1e-15)
+    assert loss.loss(2, [1, 0]) == loss.loss(2, [1, 2]) == pytest.approx(0.75, abs=1e-15)
 
 
 def test_gap_walk_loss_truncates_both_ends():
     up = adv.MultiScaleWalk(0.0, 2, increments=[5.0, -5.0])
     loss = adv.GapWalkLoss(up, 2, best_arm=0, gap=0.1)
-    assert loss.arm_loss(1, 0) == 1.0 and loss.arm_loss(1, 1) == 1.0
-    assert loss.arm_loss(2, 0) == 0.5 and loss.arm_loss(2, 1) == 0.5
+    for low in (False, True):
+        assert loss.masked_baseline(1, low) == 1.0
+        assert loss.masked_baseline(2, low) == 0.5
 
 
 def test_gap_walk_loss_no_hidden_arm():
     loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=None, gap=0.05)
-    assert loss.arm_loss(1, 0) == loss.arm_loss(1, 1) == 0.75
+    assert loss.loss(1, [0]) == loss.loss(1, [1]) == loss.masked_baseline(1, False) == 0.75
 
 
 def _scalar_baseline(w, gap, low):
@@ -259,16 +261,14 @@ def test_gap_walk_tables_match_scalar_formula_bit_for_bit(horizon):
     edges = set()
     for t in range(horizon + 1):
         for low in (False, True):
-            want = _scalar_baseline(walk.value(t), gap, low)
+            want = _scalar_baseline(walk.values()[t], gap, low)
             got = loss.masked_baseline(t, low)
             assert type(got) is float and got.hex() == want.hex(), (t, low)
             if want in (0.5, 1.0):
                 edges.add((want, low))
         if t:
-            assert loss.loss(t, best).hex() == loss.arm_loss(t, 1).hex() \
-                == _scalar_baseline(walk.value(t), gap, True).hex()
-            assert loss.loss(t, other).hex() == loss.arm_loss(t, 0).hex() \
-                == _scalar_baseline(walk.value(t), gap, False).hex()
+            assert loss.loss(t, best).hex() == _scalar_baseline(walk.values()[t], gap, True).hex()
+            assert loss.loss(t, other).hex() == _scalar_baseline(walk.values()[t], gap, False).hex()
     if horizon >= 3:
         assert edges == {(0.5, False), (0.5, True), (1.0, False), (1.0, True)}
 
@@ -284,8 +284,6 @@ def test_gap_walk_loss_rejects_rounds_outside_walk(t, warm):
         loss.loss(t, [0] * 6)
     with pytest.raises(ValueError, match=message):
         loss.masked_baseline(t, True)
-    with pytest.raises(ValueError, match=message):
-        loss.arm_loss(t, 1)
 
 
 def test_gap_walk_loss_validation():
@@ -445,14 +443,13 @@ def test_machine_held_components_track_the_carry_bands():
         cfg = core.GameConfig(T, core.Discrete(K), master_seed=seed)
         tr = core.run_game(cfg, learner, loss, dsm)
         prev = 0.0
-        z = loss.best_arm
         for t, (comps, low, carry) in enumerate(
             zip(tr.components, dsm.lows, dsm.carries), start=1
         ):
             # the immediate piece is the same for every arm; each arm
             # would have held back the rest of its own loss
-            held_z = loss.arm_loss(t, z) - comps[0]
-            held_other = loss.arm_loss(t, 1 - z) - comps[0]
+            held_z = loss.masked_baseline(t, True) - comps[0]
+            held_other = loss.masked_baseline(t, False) - comps[0]
             if low:
                 assert held_z == pytest.approx(prev, abs=1e-12)
                 assert prev - 1e-12 <= held_other <= prev + gap + 1e-12
@@ -515,7 +512,7 @@ def test_table_loss_reads_cells_and_reproduces():
 
 
 def test_lagged_loss_values():
-    loss = adv.LaggedLoss(lag=2)
+    loss = util.LaggedLoss(lag=2)
     assert loss.loss(1, [0]) == 0.5
     assert loss.loss(2, [0, 1]) == 0.5
     assert loss.loss(3, [0, 1, 1]) == 0.25

@@ -584,7 +584,7 @@ def _gapwalk_case():
 
 
 REPLAY_CASES = {
-    "lagged": lambda: (adv.LaggedLoss(2), adv.NoDelay(), 2),
+    "lagged": lambda: (util.LaggedLoss(2), adv.NoDelay(), 2),
     "paritytrap": lambda: (adv.ParityTrapLoss(1), adv.ParityDelay(), 2),
     "gapwalk": _gapwalk_case,
 }
@@ -641,7 +641,7 @@ def test_memoryless_loss_passes_probe():
 
 
 def test_lagged_loss_fails_tight_claim_with_witness():
-    loss = adv.LaggedLoss(lag=2)
+    loss = util.LaggedLoss(lag=2)
     res = core.check_bounded_memory(
         loss, 1, action_space=core.Discrete(2), horizon=60,
         rng=np.random.default_rng(1),
@@ -656,7 +656,7 @@ def test_lagged_loss_fails_tight_claim_with_witness():
 
 
 def test_lagged_loss_passes_correct_claim():
-    loss = adv.LaggedLoss(lag=2)
+    loss = util.LaggedLoss(lag=2)
     res = core.check_bounded_memory(
         loss, 2, action_space=core.Discrete(2), horizon=60,
         rng=np.random.default_rng(2),
@@ -673,7 +673,7 @@ def test_lagged_loss_passes_correct_claim():
 @settings(max_examples=60, deadline=None)
 def test_probe_flags_lagged_loss_exactly_when_window_is_short(lag, memory_bound, arms, seed):
     horizon = 24
-    loss = adv.LaggedLoss(lag)
+    loss = util.LaggedLoss(lag)
     res = core.check_bounded_memory(
         loss, memory_bound, action_space=core.Discrete(arms), horizon=horizon,
         rng=np.random.default_rng(seed),

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import util
 from delaybandits import adversaries as adv
 from delaybandits import core
 from delaybandits import learners as lrn
@@ -379,7 +380,7 @@ def test_fkm_init_validation():
     with pytest.raises(ValueError):
         lrn.FkmLearner(2, 0.0, 10, FixedRng([]))
     with pytest.raises(ValueError):
-        lrn.FkmLearner(2, 1.0, 10, FixedRng([]), exploration=1.5)
+        lrn.FkmLearner(2, 1.0, 0, FixedRng([]))
 
 
 def test_fkm_act_probes_at_exploration_radius():
@@ -392,7 +393,8 @@ def test_fkm_act_probes_at_exploration_radius():
 
 
 def test_fkm_update_descends_and_projects():
-    s = lrn.FkmLearner(2, 1.0, 100, FixedRng([]), exploration=0.1, step_size=0.5)
+    s = lrn.FkmLearner(2, 1.0, 100, FixedRng([]))
+    s.exploration, s.step_size = 0.1, 0.5
     s.pending_direction = np.array([1.0, 0.0])
     s.observe(1, None, 0.8)
     # step = step_size * (dim / exploration) * loss = 0.5 * 20 * 0.8 = 8,
@@ -429,7 +431,8 @@ def test_fkm_gradient_estimate_is_unbiased_for_linear_loss():
     rng = np.random.default_rng(0)
     dim, delta = 3, 0.2
     slope = np.array([0.2, -0.15, 0.1])
-    s = lrn.FkmLearner(dim, 1.0, 100, rng, exploration=delta)
+    s = lrn.FkmLearner(dim, 1.0, 100, rng)
+    s.exploration = delta
     s.point = np.array([0.1, 0.0, -0.1])
     n = 20000
     acc = np.zeros(dim)
@@ -442,24 +445,12 @@ def test_fkm_gradient_estimate_is_unbiased_for_linear_loss():
     assert np.abs(est - slope).max() < 0.05
 
 
-class QuadLoss:
-    """Memoryless convex loss, distance squared to a target, capped at 1."""
-
-    def __init__(self, target):
-        self.target = np.asarray(target, dtype=float)
-
-    def loss(self, t, actions):
-        d = np.asarray(actions[t - 1], dtype=float) - self.target
-        v = float(d @ d)
-        return v if v < 1.0 else 1.0
-
-
 def test_fkm_quadratic_converges_to_grid_minimum():
     horizon = 10 ** 5
     grid = [(0.0, 0.0), (0.3, -0.2), (0.5, 0.0), (-0.5, 0.0),
             (0.0, 0.5), (0.0, -0.5), (0.25, 0.25)]
     space = core.ConvexBall(2, 1.0, grid)
-    loss = QuadLoss((0.3, -0.2))
+    loss = util.QuadLoss((0.3, -0.2))
     master = run_seed(50, 0)
     cfg = core.GameConfig(horizon, space, master_seed=master)
     learner = lrn.FkmLearner(2, 1.0, horizon, substream(master, LEARNER_STREAM))

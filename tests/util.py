@@ -1,6 +1,6 @@
-"""Independent oracles used by the test suite.
+"""Independent oracles and small fixture losses used by the test suite.
 
-Everything here is deliberately written from first principles, in a
+The oracles are deliberately written from first principles, in a
 different style from the package code, so that agreement between the two
 routes actually means something.  Slow is fine; these run at small sizes.
 """
@@ -205,3 +205,30 @@ def exhaustive_action_sequences(horizon: int, arm_count: int = 2):
             seq.append(c % arm_count)
             c //= arm_count
         yield seq
+
+
+class LaggedLoss:
+    """Loss that reads the action ``lag`` rounds back; bounded-memory probes
+    with a window narrower than ``lag`` must flag it."""
+
+    def __init__(self, lag: int = 2):
+        if lag < 1:
+            raise ValueError("lag must be >= 1")
+        self.lag = int(lag)
+
+    def loss(self, t: int, actions) -> float:
+        if t <= self.lag:
+            return 0.5
+        return 0.25 if actions[t - 1 - self.lag] == 0 else 0.75
+
+
+class QuadLoss:
+    """Memoryless convex loss, distance squared to a target, capped at 1."""
+
+    def __init__(self, target):
+        self.target = np.asarray(target, dtype=float)
+
+    def loss(self, t, actions):
+        d = np.asarray(actions[t - 1], dtype=float) - self.target
+        v = float(d @ d)
+        return v if v < 1.0 else 1.0
