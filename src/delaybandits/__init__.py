@@ -37,7 +37,6 @@ from .core import (
     check_bounded_memory,
     observe_aggregate,
     policy_regret,
-    pseudo_regret,
     push_split,
     run_game,
     validate_split,

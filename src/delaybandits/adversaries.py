@@ -201,10 +201,11 @@ class GapWalkLoss:
     best_arm may be None, meaning no arm is favored and all losses
     coincide.  gap must lie in (0, 1/8].
 
-    Both truncated baselines are tabulated for t = 0..T on construction,
-    so a loss is one range check and one list read.  numpy adds, subtracts
-    and clips elementwise with the same IEEE rounding as scalar Python, so
-    the tables equal the formula in :meth:`masked_baseline` bit for bit.
+    Both truncated baselines are tabulated on construction, indexed by the
+    round, so a loss at t = 1..T is one range check and one list read.
+    numpy adds, subtracts and clips elementwise with the same IEEE rounding
+    as scalar Python, so the tables equal the formula in
+    :meth:`masked_baseline` bit for bit.
     """
 
     def __init__(self, walk: MultiScaleWalk, arm_count: int, best_arm, gap: float):
@@ -233,8 +234,8 @@ class GapWalkLoss:
         return cls(walk, arm_count, best, gap)
 
     def loss(self, t: int, actions: Sequence) -> float:
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside 0..{self.horizon}")
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"t={t} outside 1..{self.horizon}")
         return self._low[t] if actions[t - 1] == self.best_arm else self._high[t]
 
     def masked_baseline(self, t: int, low: bool) -> float:
@@ -245,8 +246,8 @@ class GapWalkLoss:
         This is the baseline the masking delay exposes in each state, and
         also every arm's loss: the hidden arm's is the low one.
         """
-        if not 0 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside 0..{self.horizon}")
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"t={t} outside 1..{self.horizon}")
         return self._low[t] if low else self._high[t]
 
 
@@ -390,7 +391,6 @@ class TableLoss:
         table = np.asarray(table, dtype=float)
         if table.ndim != 2:
             raise ValueError("table must be (horizon, arms)")
-        self.table = table
         self.horizon, self.arm_count = table.shape
         self._rows = table.tolist()
 

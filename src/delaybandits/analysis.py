@@ -70,9 +70,6 @@ class CensoredGaussian:
         )
         return self.atom_lower() + self.atom_upper() + cont
 
-    def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.clip(rng.normal(self.mu, self.sigma, size), self.lower, self.upper)
-
 
 def censored_kl(p: CensoredGaussian, q: CensoredGaussian) -> float:
     """KL divergence between two censored Gaussians sharing sigma and

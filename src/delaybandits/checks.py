@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import ne, sub
+from operator import sub
 from typing import NamedTuple
 
 import numpy as np
@@ -78,7 +78,7 @@ class MaskingRun(NamedTuple):
     gap: float
     best_arm: object     # the hidden arm, or None
     pulls: int           # plays of the hidden arm; 0 without one
-    switches: int        # masking-state switches, counted from the recorded states
+    switches: int        # masking-state switches, the machine's switch_count
     budget: float        # switch budget for those pulls; 0 without a hidden arm
     carry_min: float
     carry_max: float
@@ -100,8 +100,8 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
     config = core.GameConfig(horizon, core.Discrete(arm_count), master_seed=seed)
     tr = core.run_game(config, learner, loss, machine)
 
-    lows, carries = machine.lows, machine.carries
-    baseline = map(loss.masked_baseline, range(1, horizon + 1), lows)
+    carries = machine.carries
+    baseline = map(loss.masked_baseline, range(1, horizon + 1), machine.lows)
     residual = max(map(abs, map(sub, tr.observed, baseline)))
     components = np.array(tr.components)
     losses = np.array(tr.true_losses)
@@ -110,12 +110,11 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
         and (components <= losses[:, None] + 1e-12).all()
         and float(np.max(np.abs(components.sum(axis=1) - losses))) <= 1e-12
     )
-    switches = int(lows[0]) + sum(map(ne, lows, lows[1:]))
     pulls, budget = 0, 0.0
     if loss.best_arm is not None:
         pulls = tr.actions.count(loss.best_arm)
         budget = adv.switch_bound(gap, pulls)
-    return MaskingRun(gap, loss.best_arm, pulls, switches, budget,
+    return MaskingRun(gap, loss.best_arm, pulls, machine.switch_count, budget,
                       min(carries), max(carries), residual, split_ok)
 
 

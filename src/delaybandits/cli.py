@@ -225,13 +225,7 @@ def write_rows(path: str, rows) -> None:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
         for row in rows:
-            writer.writerow([_format_cell(row[c]) for c in CSV_COLUMNS])
-
-
-def _format_cell(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
+            writer.writerow([row[c] for c in CSV_COLUMNS])
 
 
 def read_rows(path: str) -> list:

@@ -11,16 +11,17 @@ Protocol per round t = 1..T:
    due this round, with no attribution to the rounds that produced it.
 
 The learner never sees per-round losses, only the anonymous aggregates.
-Regret is accounted against the true losses by counterfactual replay, which
-is why adversaries must realize all randomness from counter-style seed
-streams (see :mod:`delaybandits.seeding`): a replayed history re-reads the
-same random values the live run used.
+Regret is accounted against the true losses by counterfactual replay: one
+call, :func:`policy_regret`, returns both the policy and the pseudo regret
+of a transcript.  That is why adversaries must realize all randomness from
+counter-style seed streams (see :mod:`delaybandits.seeding`): a replayed
+history re-reads the same random values the live run used.
 
 Loss adversaries are called as ``loss(t, actions)`` where ``actions`` is a
 sequence with at least t entries whose first t entries are the history
 a_1..a_t.  Implementations must read only those t entries, indexing
 ``actions[t-1]``, ``actions[t-2]``, ... rather than relying on
-``len(actions)``; the replay routines exploit this by overwriting single
+``len(actions)``; the regret replay exploits this by overwriting single
 entries of a shared buffer instead of copying prefixes.
 """
 
@@ -380,83 +381,53 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
 
 @dataclass(frozen=True)
 class RegretReport:
-    """Regret of one transcript against a comparator set.
+    """Both regrets of one transcript against one comparator set.
 
-    ``policy_regret`` replays each comparator as a constant action sequence
-    through the loss adversary.  ``pseudo_regret`` replays one-step
-    deviations that keep the realized prefix.
+    ``policy_regret`` prices each comparator y on the constant history
+    (y, ..., y); ``pseudo_regret`` keeps the realized prefix and swaps y in
+    for one round at a time.  Each is ``realized_total`` less the smallest
+    comparator total.
     """
 
     realized_total: float
     policy_regret: float
     pseudo_regret: float
-    best_comparator: object
-
-
-def _replay_realized(transcript: Transcript, loss_adversary) -> None:
-    """Re-evaluate the realized history; any drift means the adversary is
-    not replay-deterministic and every counterfactual would be garbage."""
-    actions = list(transcript.actions)
-    losses = transcript.true_losses
-    T = len(actions)
-    replayed = tuple(map(loss_adversary.loss, range(1, T + 1), repeat(actions, T)))
-    if replayed == losses:
-        return
-    for t, (again, recorded) in enumerate(zip(replayed, losses), 1):
-        if again != recorded:
-            raise ReplayError(
-                f"round {t}: replayed loss {again!r} != recorded "
-                f"{recorded!r}; adversary randomness is not replay-stable"
-            )
 
 
 def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> RegretReport:
-    """Regret against constant action sequences, replayed through the
+    """Policy and pseudo regret of a transcript, replayed through the
     adversary.
 
-    For each comparator y the entire game is re-run on the history
-    (y, y, ..., y), loss by loss.  Requires a replay-deterministic
-    adversary; the realized history is replayed first and must reproduce
-    the recorded losses exactly.
+    Comparators default to the action space's.  The realized history is
+    replayed first and must reproduce the recorded losses exactly, or
+    :class:`ReplayError` names the first round that differs.  Then, for
+    each comparator y, the policy total sums l_t over the constant history
+    (y, ..., y), and the pseudo total sums l_t over the history that keeps
+    a_1..a_{t-1} and plays y in round t.  For oblivious (memoryless)
+    adversaries both equal standard external regret.  Every total is a
+    ``math.fsum``; a replay makes (2K + 1) T loss calls for K comparators.
     """
     if comparators is None:
         comparators = transcript.config.action_space.comparators()
     comparators = list(comparators)
     if not comparators:
         raise ValueError("need at least one comparator")
-    _replay_realized(transcript, loss_adversary)
 
     T = transcript.horizon
     loss_fn = loss_adversary.loss
     rounds = range(1, T + 1)
-    totals = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
-    realized = transcript.realized_total
-    b = min(range(len(totals)), key=totals.__getitem__)  # ties: lowest index
-    return RegretReport(
-        realized_total=realized,
-        policy_regret=realized - totals[b],
-        pseudo_regret=pseudo_regret(transcript, loss_adversary, comparators),
-        best_comparator=comparators[b],
-    )
+    losses = transcript.true_losses
+    replayed = tuple(map(loss_fn, rounds, repeat(list(transcript.actions), T)))
+    if replayed != losses:
+        for t, again, recorded in zip(rounds, replayed, losses):
+            if again != recorded:
+                raise ReplayError(
+                    f"round {t}: replayed loss {again!r} != recorded "
+                    f"{recorded!r}; adversary randomness is not replay-stable"
+                )
 
-
-def pseudo_regret(transcript: Transcript, loss_adversary, comparators=None) -> float:
-    """Regret against one-step deviations from the realized history.
-
-    The comparator total for y sums l_t over histories that keep the
-    realized prefix a_1..a_{t-1} and swap only the round-t action for y.
-    For oblivious (memoryless) adversaries this equals standard external
-    regret.  Ties in the minimum go to the lowest comparator index.
-    """
-    if comparators is None:
-        comparators = transcript.config.action_space.comparators()
-    comparators = list(comparators)
-    if not comparators:
-        raise ValueError("need at least one comparator")
-
-    T = transcript.horizon
-    loss_fn = loss_adversary.loss
-    totals = []
+    constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
+    swapped = []
     for y in comparators:
         # walk t downwards: rounds after t already hold y, and loss(t, .)
         # reads rounds 1..t only, so nothing needs restoring; fsum is
@@ -467,8 +438,9 @@ def pseudo_regret(transcript: Transcript, loss_adversary, comparators=None) -> f
         for t in range(T, 0, -1):
             hist[t - 1] = y
             append(loss_fn(t, hist))
-        totals.append(math.fsum(vals))
-    return transcript.realized_total - min(totals)
+        swapped.append(math.fsum(vals))
+    realized = transcript.realized_total
+    return RegretReport(realized, realized - min(constant), realized - min(swapped))
 
 
 # ---------------------------------------------------------------------------

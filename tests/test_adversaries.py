@@ -3,6 +3,7 @@
 import math
 import warnings
 from decimal import Decimal, getcontext
+from operator import ne
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import util
 from delaybandits import adversaries as adv
 from delaybandits import checks, core
 from delaybandits import learners as lrn
-from delaybandits.seeding import LEARNER_STREAM, WALK_STREAM, run_seed, substream
+from delaybandits.seeding import LEARNER_STREAM, LOSS_TABLE_STREAM, WALK_STREAM, run_seed, substream
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +260,26 @@ def test_gap_walk_tables_match_scalar_formula_bit_for_bit(horizon):
     loss = adv.GapWalkLoss(walk, 3, best_arm=1, gap=gap)
     best, other = [1] * horizon, [2] * horizon
     edges = set()
-    for t in range(horizon + 1):
+    for t in range(1, horizon + 1):
         for low in (False, True):
             want = _scalar_baseline(walk.values()[t], gap, low)
             got = loss.masked_baseline(t, low)
             assert type(got) is float and got.hex() == want.hex(), (t, low)
             if want in (0.5, 1.0):
                 edges.add((want, low))
-        if t:
-            assert loss.loss(t, best).hex() == _scalar_baseline(walk.values()[t], gap, True).hex()
-            assert loss.loss(t, other).hex() == _scalar_baseline(walk.values()[t], gap, False).hex()
+        assert loss.loss(t, best).hex() == _scalar_baseline(walk.values()[t], gap, True).hex()
+        assert loss.loss(t, other).hex() == _scalar_baseline(walk.values()[t], gap, False).hex()
     if horizon >= 3:
         assert edges == {(0.5, False), (0.5, True), (1.0, False), (1.0, True)}
 
 
-@pytest.mark.parametrize("t", [-1, 5])
+@pytest.mark.parametrize("t", [-1, 0, 5])
 @pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
 def test_gap_walk_loss_rejects_rounds_outside_walk(t, warm):
     loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.1)
     if warm:  # tables already built
         assert loss.loss(1, [0]) == pytest.approx(0.65, abs=1e-15)
-    message = f"t={t} outside 0..4"
+    message = f"t={t} outside 1..4"
     with pytest.raises(ValueError, match=message):
         loss.loss(t, [0] * 6)
     with pytest.raises(ValueError, match=message):
@@ -406,8 +406,8 @@ def test_machine_starving_policy_freezes_after_two_switches():
 
 
 def test_masking_run_measures_what_the_machine_recorded():
-    # switches counted from the recorded states, the first-round drop
-    # included, agree with the machine's own counter
+    # the machine's switch counter agrees with the switches counted from
+    # its recorded states, the first-round drop included
     T, K = 512, 2
     seen = set()
     for rep in range(8):
@@ -420,6 +420,7 @@ def test_masking_run_measures_what_the_machine_recorded():
         config = core.GameConfig(T, core.Discrete(K), master_seed=seed)
         tr = core.run_game(config, learner, loss, dsm)
         assert run.best_arm == loss.best_arm and run.switches == dsm.switch_count
+        assert dsm.switch_count == sum(map(ne, [False, *dsm.lows], dsm.lows))
         assert (run.carry_min, run.carry_max) == (min(dsm.carries), max(dsm.carries))
         if loss.best_arm is not None:
             assert run.pulls == tr.actions.count(loss.best_arm)
@@ -505,10 +506,11 @@ def test_parity_trap_rejects_other_arms():
 
 
 def test_table_loss_reads_cells_and_reproduces():
-    a = adv.TableLoss.from_seed(3, 20, 123)
-    b = adv.TableLoss.from_seed(3, 20, 123)
-    assert np.array_equal(a.table, b.table)
-    assert a.loss(5, [0, 0, 0, 0, 2]) == a.table[4][2]
+    loss = adv.TableLoss.from_seed(3, 20, 123)
+    cells = substream(123, LOSS_TABLE_STREAM).random((20, 3))
+    for t in range(1, 21):
+        for arm in range(3):
+            assert loss.loss(t, [arm] * t) == cells[t - 1][arm]
 
 
 def test_lagged_loss_values():

@@ -527,14 +527,6 @@ def test_pseudo_equals_policy_for_memoryless_losses():
     assert report.pseudo_regret == pytest.approx(report.policy_regret, abs=1e-12)
 
 
-def test_tie_break_prefers_lowest_comparator():
-    table = [[0.3, 0.3], [0.6, 0.6]]
-    loss = adv.TableLoss(table)
-    tr = core.run_game(make_config(2), lrn.ScriptedLearner([1, 1]), loss, adv.NoDelay())
-    report = core.policy_regret(tr, loss)
-    assert report.best_comparator == 0
-
-
 def test_replay_drift_detected():
     class Flaky:
         def __init__(self):
@@ -578,31 +570,41 @@ def test_regret_replay_calls_loss_2k_plus_1_times_per_round(arms):
     assert counting.calls == (2 * arms + 1) * horizon
 
 
+def _uniform(arms):
+    return core.Discrete(arms), lambda rng: lrn.UniformRandomLearner(arms, rng)
+
+
 def _gapwalk_case():
     loss = adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 300, master_seed=3), 3, best_arm=2, gap=0.1)
-    return loss, adv.DelayStateMachine(loss), 3
+    return (loss, adv.DelayStateMachine(loss), *_uniform(3))
 
 
+def _ball_case():
+    space = core.ConvexBall(2, 1.0, [(0, 0), (0.3, -0.2), (-0.5, 0.5)])
+    return (util.QuadLoss((0.3, -0.2)), adv.LastSlotDelay(3), space,
+            lambda rng: lrn.MiniBatchWrapper(lrn.FkmLearner(2, 1.0, 60, rng), 5, 300))
+
+
+#: name -> (loss, delay, action space, learner from its rng) at T = 300
 REPLAY_CASES = {
-    "lagged": lambda: (util.LaggedLoss(2), adv.NoDelay(), 2),
-    "paritytrap": lambda: (adv.ParityTrapLoss(1), adv.ParityDelay(), 2),
+    "ball": _ball_case,
+    "lagged": lambda: (util.LaggedLoss(2), adv.NoDelay(), *_uniform(2)),
+    "paritytrap": lambda: (adv.ParityTrapLoss(1), adv.ParityDelay(), *_uniform(2)),
     "gapwalk": _gapwalk_case,
 }
 
 
 @pytest.mark.parametrize("name", sorted(REPLAY_CASES))
 def test_regret_replay_equals_swap_and_restore_oracle(name):
-    loss, delay, arms = REPLAY_CASES[name]()
-    horizon = 300
-    seed = run_seed(6, arms)
-    learner = lrn.UniformRandomLearner(arms, substream(seed, LEARNER_STREAM))
-    config = make_config(horizon, arms=arms, seed=seed)
-    tr = core.run_game(config, learner, loss, delay)
-    policy, pseudo = util.swap_and_restore_regret(loss, tr.actions, list(range(arms)))
+    loss, delay, space, make_learner = REPLAY_CASES[name]()
+    comparators = space.comparators()
+    seed = run_seed(6, len(comparators))
+    learner = make_learner(substream(seed, LEARNER_STREAM))
+    tr = core.run_game(core.GameConfig(300, space, master_seed=seed), learner, loss, delay)
+    policy, pseudo = util.swap_and_restore_regret(loss, tr.actions, comparators)
     report = core.policy_regret(tr, loss)
     assert report.policy_regret == policy
     assert report.pseudo_regret == pseudo
-    assert core.pseudo_regret(tr, loss) == pseudo
 
 
 def test_parity_trap_all_sequences_at_t4():
