@@ -198,7 +198,7 @@ def fit_exponent(points: Sequence) -> ScalingFit:
     """Fit a power law to (horizon, value) pairs.
 
     Requires at least three points, strictly increasing horizons, and
-    strictly positive values.
+    finite, strictly positive values.
     """
     pts = [(int(t), float(v)) for t, v in points]
     if len(pts) < 3:
@@ -206,8 +206,8 @@ def fit_exponent(points: Sequence) -> ScalingFit:
     for (t0, _), (t1, _) in zip(pts, pts[1:]):
         if t1 <= t0:
             raise ValueError("horizons must be strictly increasing")
-    if any(v <= 0 for _, v in pts):
-        raise ValueError("values must be strictly positive for a log-log fit")
+    if not all(0 < v < math.inf for _, v in pts):
+        raise ValueError("values must be finite and strictly positive for a log-log fit")
     x = np.log([t for t, _ in pts])
     y = np.log([v for _, v in pts])
     slope, intercept = np.polyfit(x, y, 1)

@@ -16,7 +16,10 @@ that varies between identical invocations.
 
 Each ``run``/``sweep`` flag sets the :class:`ExperimentSpec` field of the
 same meaning; a flag left out takes that field's default, except that
-``sweep`` defaults to the 2^10..2^16 horizon grid and 50 seeds.
+``sweep`` defaults to the 2^10..2^16 horizon grid and 50 seeds.  A spec is
+checked when it is built, from flags or from Python alike.  A gap-walk run
+takes its gap and walk scale from ``gap_walk_defaults(K, T)``; no flag
+overrides them.
 """
 
 from __future__ import annotations
@@ -24,11 +27,12 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
+import operator
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import product, repeat
 
 from . import adversaries as adv
 from . import analysis
@@ -65,7 +69,8 @@ class UsageError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """Everything needed to reproduce a batch of runs."""
+    """Everything needed to reproduce a batch of runs; checked on
+    construction, so an invalid spec raises :class:`UsageError`."""
 
     adversary: str = "gapwalk"
     delay: str = "statemachine"
@@ -75,14 +80,12 @@ class ExperimentSpec:
     delay_span: int = 0     # 0: implied by the delay kind
     memory_bound: int = 0
     batch_size: int = 0     # 0: automatic
-    gap: float = 0.0        # 0: default schedule
-    sigma: float = 0.0      # 0: default schedule
     repetitions: int = 1
     seed_base: int = 0
     out: str = "results.csv"
     workers: int = 1
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if self.adversary not in ADVERSARIES:
             raise UsageError(f"unknown adversary {self.adversary!r}; choose from {ADVERSARIES}")
         if self.delay not in DELAYS:
@@ -103,10 +106,6 @@ class ExperimentSpec:
             raise UsageError("--workers must be >= 1")
         if self.batch_size < 0 or self.delay_span < 0 or self.memory_bound < 0:
             raise UsageError("--tau, --d and --m must be >= 0")
-        if not 0 <= self.gap <= 0.125:
-            raise UsageError("--epsilon must lie in [0, 1/8] (0 = automatic)")
-        if not 0 <= self.sigma < math.inf:
-            raise UsageError("--sigma must be finite and >= 0 (0 = automatic)")
         if self.adversary == "paritytrap" and self.arm_count != 2:
             raise UsageError("the parity trap is two-armed; use --K 2")
         if self.delay == "statemachine" and self.adversary != "gapwalk":
@@ -118,9 +117,8 @@ class ExperimentSpec:
                              "--d applies to --delay lastslot only")
         if self.delay == "lastslot" and self.delay_span == 1:
             raise UsageError("--delay lastslot needs --d >= 2 (0 = 2)")
-        if self.adversary == "gapwalk" and (self.gap == 0.0 or self.sigma == 0.0):
-            if any(t < 3 for t in self.horizons):
-                raise UsageError("gapwalk default schedules need T >= 3")
+        if self.adversary == "gapwalk" and any(t < 3 for t in self.horizons):
+            raise UsageError("gapwalk default schedules need T >= 3")
 
 
 def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
@@ -133,15 +131,8 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
     elif spec.adversary == "paritytrap":
         loss = adv.ParityTrapLoss.from_seed(master_seed)
     else:
-        gap, sigma = spec.gap, spec.sigma
-        if gap == 0.0 or sigma == 0.0:
-            auto_gap, auto_sigma = adv.gap_walk_defaults(k, horizon)
-            gap = gap or auto_gap
-            sigma = sigma or auto_sigma
-        try:
-            loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, master_seed)
-        except ValueError as e:  # validate() leaves only a sigma too large for the walk
-            raise UsageError(f"--sigma too large: {e}") from None
+        gap, sigma = adv.gap_walk_defaults(k, horizon)
+        loss = adv.GapWalkLoss.from_seed(k, horizon, gap, sigma, master_seed)
 
     if spec.delay == "none":
         delay = adv.NoDelay()
@@ -169,13 +160,7 @@ def _build_run(spec: ExperimentSpec, horizon: int, master_seed: int):
 
 
 def _count_switches(actions) -> int:
-    prev = actions[0]
-    n = 0
-    for a in actions[1:]:
-        if a != prev:
-            n += 1
-            prev = a
-    return n
+    return sum(map(operator.ne, actions, actions[1:]))
 
 
 def run_one(spec: ExperimentSpec, horizon: int, repetition: int) -> dict:
@@ -203,19 +188,14 @@ def run_one(spec: ExperimentSpec, horizon: int, repetition: int) -> dict:
     }
 
 
-def _run_one_star(job) -> dict:
-    spec, horizon, repetition = job
-    return run_one(spec, horizon, repetition)
-
-
 def execute_spec(spec: ExperimentSpec) -> list:
     """All runs of a spec, sorted by (T, seed); parallel when asked."""
-    jobs = [(spec, t, r) for t in spec.horizons for r in range(spec.repetitions)]
-    if spec.workers > 1 and len(jobs) > 1:
+    horizons, repetitions = zip(*product(spec.horizons, range(spec.repetitions)))
+    if spec.workers > 1 and len(horizons) > 1:
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-            rows = list(pool.map(_run_one_star, jobs, chunksize=1))
+            rows = list(pool.map(run_one, repeat(spec), horizons, repetitions, chunksize=1))
     else:
-        rows = [_run_one_star(j) for j in jobs]
+        rows = list(map(run_one, repeat(spec), horizons, repetitions))
     rows.sort(key=lambda r: (r["T"], r["seed"]))
     return rows
 
@@ -318,8 +298,6 @@ def _add_run_flags(p) -> None:
     p.add_argument("--d", type=int, dest="delay_span", help="delay span (0 = implied)")
     p.add_argument("--m", type=int, dest="memory_bound", help="loss memory bound")
     p.add_argument("--tau", type=int, dest="batch_size", help="batch size (0 = automatic)")
-    p.add_argument("--epsilon", type=float, dest="gap", help="hidden-arm gap (0 = automatic)")
-    p.add_argument("--sigma", type=float, help="walk noise scale (0 = automatic)")
     p.add_argument("--seeds", type=int, dest="repetitions", help="repetitions per horizon")
     p.add_argument("--seed-base", type=int, dest="seed_base")
     p.add_argument("--out", help="output CSV path")
@@ -327,7 +305,7 @@ def _add_run_flags(p) -> None:
 
 
 def _spec_from_args(args) -> ExperimentSpec:
-    """The validated spec of the flags given to ``run`` or ``sweep``."""
+    """The spec of the flags given to ``run`` or ``sweep``."""
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)
              if hasattr(args, f.name)}
     if "horizons" in given:
@@ -335,7 +313,6 @@ def _spec_from_args(args) -> ExperimentSpec:
     if args.command == "sweep":
         given = {"horizons": DEFAULT_SWEEP_HORIZONS, "repetitions": 50, **given}
     spec = ExperimentSpec(**given)
-    spec.validate()
     if args.command == "run" and len(spec.horizons) != 1:
         raise UsageError("run takes exactly one --T; use sweep for grids")
     return spec

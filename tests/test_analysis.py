@@ -224,8 +224,9 @@ def test_fit_exponent_validation():
         analysis.fit_exponent([(10, 1.0), (20, 2.0)])
     with pytest.raises(ValueError):
         analysis.fit_exponent([(10, 1.0), (10, 2.0), (30, 3.0)])
-    with pytest.raises(ValueError):
-        analysis.fit_exponent([(10, 1.0), (20, 0.0), (30, 3.0)])
+    for bad in (0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            analysis.fit_exponent([(10, 1.0), (20, bad), (30, 3.0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """Command-line behavior: determinism, flag defaults, exit codes."""
 
+import argparse
 import csv
 import json
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -73,12 +75,12 @@ def test_seeds_are_paired_across_horizons(tmp_path):
     assert seeds_32 == {str(run_seed(9, rep)) for rep in range(4)}
 
 
-def test_config_file_supplies_defaults_and_flags_override():
-    # there is no config file: a flag left out takes ExperimentSpec's
-    # default, a flag given wins, and sweep defaults to its grid and 50 seeds
+def test_flags_left_out_take_spec_defaults_and_given_flags_win():
+    # a flag left out takes ExperimentSpec's default, a flag given wins, and
+    # sweep defaults to its grid and 50 seeds
     parse = cli.build_parser().parse_args
-    spec = cli._spec_from_args(parse(["run", "--K", "3", "--seeds", "4", "--epsilon", "0.1"]))
-    assert spec == cli.ExperimentSpec(arm_count=3, repetitions=4, gap=0.1)
+    spec = cli._spec_from_args(parse(["run", "--K", "3", "--seeds", "4", "--tau", "5"]))
+    assert spec == cli.ExperimentSpec(arm_count=3, repetitions=4, batch_size=5)
     spec = cli._spec_from_args(parse(["sweep", "--adversary", "iid", "--delay", "none"]))
     assert spec == cli.ExperimentSpec(adversary="iid", delay="none",
                                       horizons=cli.DEFAULT_SWEEP_HORIZONS, repetitions=50)
@@ -86,7 +88,19 @@ def test_config_file_supplies_defaults_and_flags_override():
     assert spec == cli.ExperimentSpec(horizons=(32, 64), repetitions=2)
 
 
-def test_config_file_rejects_garbage(tmp_path, capsys):
+def test_run_flags_set_exactly_the_spec_fields():
+    # each run/sweep flag sets one ExperimentSpec field, and every field has one
+    names = sorted(f.name for f in fields(cli.ExperimentSpec))
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    for command in ("run", "sweep"):
+        dests = [a.dest for a in commands[command]._actions if a.dest != "help"]
+        assert sorted(dests) == names
+    assert len(names) == 12
+
+
+def test_removed_config_flag_is_unknown(tmp_path, capsys):
     # --config is gone; it is an unknown flag like any other
     cfg = tmp_path / "exp.cfg"
     cfg.write_text("T = 32\n")
@@ -112,27 +126,25 @@ class TestUsageErrors:
         assert cli.main(["run", "--adversary", "paritytrap", "--delay", "parity",
                          "--K", "3", "--out", str(tmp_path / "x.csv")]) == 1
 
-    def test_bad_epsilon_rejected(self, tmp_path):
-        assert cli.main(["run", "--epsilon", "0.2",
-                         "--out", str(tmp_path / "x.csv")]) == 1
-
-    @pytest.mark.parametrize("flag, value", [("--epsilon", "nan"), ("--sigma", "nan"),
-                                             ("--sigma", "inf")])
-    def test_non_finite_walk_parameter_rejected(self, tmp_path, capsys, flag, value):
-        assert cli.main(["run", "--T", "64", flag, value,
-                         "--out", str(tmp_path / "x.csv")]) == 1
-        assert f"error: {flag} must" in capsys.readouterr().err
+    @pytest.mark.parametrize("flag", ["--epsilon", "--sigma"])
+    def test_walk_schedule_flags_are_unrecognized(self, tmp_path, capsys, flag):
+        # the gap-walk gap and sigma come from gap_walk_defaults(K, T) only
+        assert cli.main(["run", flag, "0.1", "--out", str(tmp_path / "x.csv")]) == 1
+        assert f"unrecognized arguments: {flag} 0.1" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
-    def test_sigma_that_overflows_the_walk_rejected(self, tmp_path, capsys):
-        # finite, but the walk's parent sums overflow to inf and then NaN
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert cli.main(["run", "--T", "1024", "--sigma", "1e308", "--seeds", "5",
-                             "--out", str(tmp_path / "x.csv")]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: --sigma") and err.count("\n") == 1
-        assert not (tmp_path / "x.csv").exists()
+    @pytest.mark.parametrize("given, message", [
+        (dict(adversary="paritytrap", delay="parity", learner="uniform", arm_count=3,
+              horizons=(16,)), "the parity trap is two-armed; use --K 2"),
+        (dict(adversary="iid", delay="statemachine"),
+         "--delay statemachine requires --adversary gapwalk"),
+        (dict(delay="none", delay_span=5),
+         "--delay none fixes its own span; --d applies to --delay lastslot only"),
+    ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot"])
+    def test_spec_built_in_python_is_checked(self, given, message):
+        with pytest.raises(cli.UsageError) as info:
+            cli.ExperimentSpec(**given)
+        assert str(info.value) == message
 
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):
         # the masking and parity delays fix their own span of 2
@@ -278,6 +290,20 @@ def test_analyze_needs_three_horizons(tmp_path):
     thin = tmp_path / "thin.csv"
     thin.write_text("T,policy_regret\n32,1.0\n64,2.0\n")
     assert cli.main(["analyze", str(thin)]) == 1
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("bootstrap", ["0", "50"])
+def test_analyze_rejects_non_finite_values(tmp_path, capsys, value, bootstrap):
+    # json.dumps would print NaN or Infinity, which is not JSON
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"T,policy_regret\n64,1.0\n128,{value}\n256,3.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(["analyze", str(bad), "--bootstrap", bootstrap]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: values must be finite and strictly positive for a log-log fit\n"
 
 
 def test_policy_regret_zero_reported_for_trap(tmp_path):

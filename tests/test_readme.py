@@ -32,7 +32,7 @@ def readme_commands() -> list:
 
 def test_readme_commands_parse():
     # nothing is executed: each command must parse, and each run and sweep
-    # must give a spec that passes validate()
+    # must give a spec that its construction accepts
     commands = readme_commands()
     assert {argv[0] for argv in commands} == {"run", "sweep", "analyze", "verify"}
     for argv in commands:
