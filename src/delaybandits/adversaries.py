@@ -400,7 +400,15 @@ class TableLoss:
         return cls(rng.random((horizon, arm_count)))
 
     def loss(self, t: int, actions: Sequence) -> float:
-        return self._rows[t - 1][actions[t - 1]]
+        # past T the row lookup raises for free; a range test in front of
+        # it made wide-delay about 1 % slower
+        try:
+            if t < 1:
+                raise IndexError
+            row = self._rows[t - 1]
+        except IndexError:
+            raise ValueError(f"t={t} outside 1..{self.horizon}") from None
+        return row[actions[t - 1]]
 
 
 class NoDelay:

@@ -67,6 +67,12 @@ class UsageError(Exception):
 # experiment specification
 
 
+#: the spec's integer fields, each with the flag that sets it
+_INT_FIELDS = (("arm_count", "--K"), ("delay_span", "--d"), ("memory_bound", "--m"),
+               ("batch_size", "--tau"), ("repetitions", "--seeds"),
+               ("seed_base", "--seed-base"), ("workers", "--workers"))
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """Everything needed to reproduce a batch of runs; checked on
@@ -94,6 +100,11 @@ class ExperimentSpec:
             raise UsageError(f"unknown learner {self.learner!r}; choose from {LEARNERS}")
         if not self.horizons:
             raise UsageError("need at least one horizon (--T)")
+        given = [("--T", t) for t in self.horizons]
+        given += [(flag, getattr(self, name)) for name, flag in _INT_FIELDS]
+        for flag, value in given:
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise UsageError(f"{flag} must be an integer, got {value!r}")
         if any(t < 1 for t in self.horizons):
             raise UsageError("horizons must be >= 1")
         if len(set(self.horizons)) != len(self.horizons):

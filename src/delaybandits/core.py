@@ -60,6 +60,10 @@ class ReplayError(SimulationError):
     """Counterfactual replay did not reproduce the realized run."""
 
 
+#: component types that compare like 0 and 1 but are not numbers
+_BOOLS = frozenset((bool, np.bool_))
+
+
 # ---------------------------------------------------------------------------
 # action spaces
 
@@ -75,6 +79,8 @@ class Discrete:
             raise ValueError(f"need at least 2 arms, got {self.arm_count}")
 
     def contains(self, action) -> bool:
+        if type(action) is int:
+            return 0 <= action < self.arm_count
         return (isinstance(action, (int, np.integer)) and type(action) is not bool
                 and 0 <= action < self.arm_count)
 
@@ -174,7 +180,9 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
     negative, any component exceeding the loss or not comparable with a
     float, a wrong component count, or a sum off by more than SPLIT_ATOL
-    (or NaN) raises :class:`SplitError`.
+    (or NaN) raises :class:`SplitError`.  At d <= 2 a ``bool`` or
+    ``numpy.bool_`` component is not a number either.  At d >= 3 bools are
+    not looked for: a type scan cost about 1 us per round at d = 32.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -182,19 +190,34 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
             f"round {split.t}: expected {delay_span} components, got {len(comps)}"
         )
     lv = split.loss_value
-    # Fast accept: a nonnegative component is at most the correctly rounded
-    # sum, so the per-component cap follows from the cap on the sum.  A NaN
-    # fails the comparisons; it, infinities that make fsum raise, and
-    # components that are not numbers fall through to the loop below.
-    try:
-        total = comps[0] if delay_span == 1 else math.fsum(comps)
-        if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
-            return split
-    except (OverflowError, TypeError, ValueError):
-        pass
+    if 1 <= delay_span <= 2:
+        # Fast accept for exact floats only, so bools go to the loop.  The
+        # sum of two floats is one correctly rounded add, equal to their
+        # fsum; an add that overflows to inf fails the sum test.  The
+        # per-component cap follows from the cap on the sum, as below.
+        c0, c1 = comps if delay_span == 2 else (comps[0], 0.0)
+        if type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0:
+            total = c0 + c1
+            if total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+                return split
+        not_numbers = _BOOLS
+    else:
+        # Fast accept: a nonnegative component is at most the correctly
+        # rounded sum, so the per-component cap follows from the cap on the
+        # sum.  A NaN fails the comparisons; it, infinities that make fsum
+        # raise, and components that are not numbers fall through.
+        try:
+            total = math.fsum(comps)
+            if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+                return split
+        except (OverflowError, TypeError, ValueError):
+            pass
+        not_numbers = ()
     clamped = None
     for i, c in enumerate(comps):
         try:
+            if type(c) in not_numbers:
+                raise TypeError
             negative = c < 0.0
         except TypeError:
             raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number") from None
@@ -237,13 +260,14 @@ def push_split(pending: list, split: LossSplit) -> None:
     d = len(pending) + 1
     if len(comps) != d:
         raise SplitError(f"round {split.t}: split width {len(comps)} != delay span {d}")
-    if d == 1:
-        return
     # drop the slot consumed this round, shift, add the new schedule; the
     # last slot is 0.0 + c, not c, so a -0.0 component is stored as 0.0
-    for k in range(d - 2):
-        pending[k] = pending[k + 1] + comps[k + 1]
-    pending[d - 2] = 0.0 + comps[d - 1]
+    if d == 2:
+        pending[0] = 0.0 + comps[1]
+    elif d > 2:
+        for k in range(d - 2):
+            pending[k] = pending[k + 1] + comps[k + 1]
+        pending[d - 2] = 0.0 + comps[d - 1]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +349,6 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     true_losses: list = []
     components: list = []
     observed_seq: list = []
-    append_action = actions.append
     # types that compare like a number in [0, 1] but are not one
     rejected = frozenset((bool, np.bool_, np.ndarray))
 
@@ -339,7 +362,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             a = act(t)
             if not contains(a):
                 raise ActionError(f"round {t}: action {a!r} outside the action space")
-            append_action(a)
+            actions.append(a)
             lv = loss_fn(t, actions)
             try:
                 in_range = 0.0 <= lv <= 1.0 and type(lv) not in rejected

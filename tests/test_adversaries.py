@@ -513,6 +513,13 @@ def test_table_loss_reads_cells_and_reproduces():
             assert loss.loss(t, [arm] * t) == cells[t - 1][arm]
 
 
+@pytest.mark.parametrize("t", [-1, 0, 4])
+def test_table_loss_rejects_rounds_outside_table(t):
+    loss = adv.TableLoss([[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]])
+    with pytest.raises(ValueError, match=f"t={t} outside 1..3"):
+        loss.loss(t, [1] * 4)
+
+
 def test_lagged_loss_values():
     loss = util.LaggedLoss(lag=2)
     assert loss.loss(1, [0]) == 0.5

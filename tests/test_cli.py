@@ -146,6 +146,22 @@ class TestUsageErrors:
             cli.ExperimentSpec(**given)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("given, message", [
+        (dict(horizons=(64.5,)), "--T must be an integer, got 64.5"),
+        (dict(horizons=(True, 3)), "--T must be an integer, got True"),
+        (dict(arm_count=2.5), "--K must be an integer, got 2.5"),
+        (dict(delay="lastslot", delay_span=2.0), "--d must be an integer, got 2.0"),
+        (dict(memory_bound=False), "--m must be an integer, got False"),
+        (dict(batch_size="5"), "--tau must be an integer, got '5'"),
+        (dict(repetitions=1.5), "--seeds must be an integer, got 1.5"),
+        (dict(seed_base=0.5), "--seed-base must be an integer, got 0.5"),
+        (dict(workers=None), "--workers must be an integer, got None"),
+    ], ids=["T-float", "T-bool", "K", "d", "m", "tau", "seeds", "seed-base", "workers"])
+    def test_spec_integer_fields_must_be_integers(self, given, message):
+        with pytest.raises(cli.UsageError) as info:
+            cli.ExperimentSpec(**given)
+        assert str(info.value) == message
+
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):
         # the masking and parity delays fix their own span of 2
         assert cli.main(["run", "--delay", "statemachine", "--d", "7",

@@ -33,6 +33,19 @@ class TestDiscrete:
         assert not space.contains(1.0)  # floats are not arm indices
         assert not space.contains(True) and not space.contains(False)  # nor bools
 
+    @given(arm_count=st.integers(min_value=2, max_value=40),
+           action=st.one_of(
+               st.integers(min_value=-50, max_value=50), st.integers(),
+               st.sampled_from([2 ** 63, 2 ** 64, -(2 ** 64), 10 ** 100]),
+               st.booleans(), st.booleans().map(np.bool_),
+               st.integers(min_value=-2 ** 63, max_value=2 ** 63 - 1).map(np.int64),
+               st.floats(), st.none()))
+    @settings(max_examples=300, deadline=None)
+    def test_contains_matches_type_checked_range(self, arm_count, action):
+        expected = (isinstance(action, (int, np.integer)) and type(action) is not bool
+                    and 0 <= action < arm_count)
+        assert core.Discrete(arm_count).contains(action) == expected
+
     def test_needs_two_arms(self):
         with pytest.raises(ValueError):
             core.Discrete(1)
@@ -157,7 +170,7 @@ def _split_outcome(check, d, comps, lv):
         out = check(core.LossSplit(9, comps, lv), d)
     except Exception as e:  # the kind and the text must both agree
         return type(e).__name__, str(e)
-    return "ok", tuple(float.hex(c) for c in out.components)
+    return "ok", tuple((type(c), float(c).hex()) for c in out.components)
 
 
 @given(adversarial_splits())
@@ -167,6 +180,20 @@ def _split_outcome(check, d, comps, lv):
 @example((3, (math.nan, 0.25, 0.25), 0.5))
 @example((3, (0.25, 0.25, math.nan), 0.5))
 @example((2, (-0.0, 0.5), 0.5))
+@example((2, (0.5, -0.0), 0.5))
+@example((2, (np.float64(0.25), np.float64(0.5)), 0.75))  # numpy floats are accepted
+@example((2, (np.float32(0.25), 0.5), 0.75))
+@example((2, (0, 1), 1.0))                                # so are ints
+@example((2, (1, 0.0), 1.0))
+@example((1, (True,), 1.0))                               # bools are not, at d <= 2
+@example((1, (False,), 0.0))
+@example((1, (np.bool_(True),), 1.0))
+@example((2, (True, 0.0), 1.0))
+@example((2, (0.5, False), 0.5))
+@example((2, (np.bool_(True), 0.0), 1.0))
+@example((2, (0.0, np.bool_(True)), 1.0))
+@example((2, (-1.0, True), 1.0))                          # the first bad component is named
+@example((3, (True, 0.0, 0.0), 1.0))                      # d >= 3 does not look for bools
 @example((2, (-ATOL, 0.5 + ATOL), 0.5))
 @example((1, (5e-13,), 0.0))
 @settings(max_examples=600, deadline=None)
@@ -196,6 +223,12 @@ class TestPendingFeedback:
         assert core.observe_aggregate(pending, s) == 0.8
         core.push_split(pending, s)
         assert pending == []
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_negative_zero_component_is_stored_as_zero(self, d):
+        pending = [0.0] * (d - 1)
+        core.push_split(pending, core.LossSplit(1, (0.5,) + (-0.0,) * (d - 1), 0.5))
+        assert all(math.copysign(1.0, p) == 1.0 for p in pending)
 
     def test_push_rejects_width_mismatch(self):
         with pytest.raises(core.SplitError):
@@ -463,6 +496,9 @@ def junk_games(draw):
 @given(junk_games())
 @example((DISCRETE, 1, [0], [np.array(0.5)], ["valid"], [0.0]))
 @example((BALL, 2, [np.zeros(2)], [np.array([0.5])], ["valid"], [0.0]))
+@example((DISCRETE, 1, [0], [1.0], ["junk-component"], [True]))
+@example((DISCRETE, 2, [0], [0.5], ["junk-component"], [False]))
+@example((DISCRETE, 1, [1], [1.0], ["junk-component"], [np.bool_(True)]))
 @settings(max_examples=300, deadline=None)
 def test_engine_raises_only_typed_errors_on_junk(game):
     space, d, actions, losses, kinds, junk = game
@@ -475,6 +511,8 @@ def test_engine_raises_only_typed_errors_on_junk(game):
         return
     assert not any(type(lv) in (bool, np.bool_, np.ndarray) for lv in tr.true_losses)
     assert all(type(c) is tuple and len(c) == d for c in tr.components)
+    if d <= 2:
+        assert not any(type(c) in (bool, np.bool_) for comps in tr.components for c in comps)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

@@ -59,7 +59,7 @@ def naive_one_swap_regret(loss_adversary, actions, comparators):
 def reference_validate_split(split, delay_span):
     """The component-by-component split check that ``core.validate_split``
     must agree with: same returned components, or the same ``SplitError``
-    message."""
+    message.  At d <= 2 a bool or numpy bool component is not a number."""
     comps = split.components
     if len(comps) != delay_span:
         raise SplitError(
@@ -68,6 +68,8 @@ def reference_validate_split(split, delay_span):
     lv = split.loss_value
     clamped = None
     for i, c in enumerate(comps):
+        if delay_span <= 2 and isinstance(c, (bool, np.bool_)):
+            raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
         if c < 0.0:
             if c < -SPLIT_ATOL:
                 raise SplitError(f"round {split.t}: component {i} is negative ({c!r})")
