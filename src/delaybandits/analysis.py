@@ -7,6 +7,10 @@ edge and above it to an atom at the upper edge, with the untouched density
 in between.  Its KL divergence is what bounds how distinguishable two
 observation streams are, and it never exceeds the plain Gaussian KL of the
 means.
+
+scipy is imported inside the censored-Gaussian functions, on their first
+call, so importing the package (and running ``run``, ``sweep`` or
+``analyze``) never loads it.
 """
 
 from __future__ import annotations
@@ -16,8 +20,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import log_ndtr, ndtr
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _AUDIT_ATOL = 1e-9
@@ -48,10 +50,12 @@ class CensoredGaussian:
 
     def atom_lower(self) -> float:
         """Mass collapsed onto the lower edge."""
+        from scipy.special import ndtr
         return float(ndtr((self.lower - self.mu) / self.sigma))
 
     def atom_upper(self) -> float:
         """Mass collapsed onto the upper edge."""
+        from scipy.special import ndtr
         return float(ndtr((self.mu - self.upper) / self.sigma))
 
     def density(self, x) -> np.ndarray:
@@ -64,6 +68,7 @@ class CensoredGaussian:
     def total_mass(self) -> float:
         """Atoms plus quadrature of the density; equals 1 up to the
         integrator's tolerance."""
+        from scipy.integrate import quad
         cont, _ = quad(
             lambda x: float(self.density(x)), self.lower, self.upper,
             epsabs=1e-10, limit=200,
@@ -86,6 +91,8 @@ def censored_kl(p: CensoredGaussian, q: CensoredGaussian) -> float:
         raise ValueError("distributions must share the censoring window")
     if p.mu == q.mu:
         return 0.0
+    from scipy.integrate import quad
+    from scipy.special import log_ndtr
 
     sigma = p.sigma
     a, b = p.lower, p.upper

@@ -30,7 +30,6 @@ import json
 import operator
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from itertools import product, repeat
 
@@ -98,6 +97,8 @@ class ExperimentSpec:
             raise UsageError(f"unknown delay {self.delay!r}; choose from {DELAYS}")
         if self.learner not in LEARNERS:
             raise UsageError(f"unknown learner {self.learner!r}; choose from {LEARNERS}")
+        if not isinstance(self.horizons, tuple):
+            raise UsageError(f"--T must be given as a tuple of horizons, got {self.horizons!r}")
         if not self.horizons:
             raise UsageError("need at least one horizon (--T)")
         given = [("--T", t) for t in self.horizons]
@@ -203,6 +204,7 @@ def execute_spec(spec: ExperimentSpec) -> list:
     """All runs of a spec, sorted by (T, seed); parallel when asked."""
     horizons, repetitions = zip(*product(spec.horizons, range(spec.repetitions)))
     if spec.workers > 1 and len(horizons) > 1:
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=spec.workers) as pool:
             rows = list(pool.map(run_one, repeat(spec), horizons, repetitions, chunksize=1))
     else:

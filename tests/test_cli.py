@@ -140,7 +140,11 @@ class TestUsageErrors:
          "--delay statemachine requires --adversary gapwalk"),
         (dict(delay="none", delay_span=5),
          "--delay none fixes its own span; --d applies to --delay lastslot only"),
-    ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot"])
+        # a list would leave a frozen spec that cannot be hashed
+        (dict(horizons=64), "--T must be given as a tuple of horizons, got 64"),
+        (dict(horizons=[64, 128]), "--T must be given as a tuple of horizons, got [64, 128]"),
+    ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot",
+            "T-bare-int", "T-list"])
     def test_spec_built_in_python_is_checked(self, given, message):
         with pytest.raises(cli.UsageError) as info:
             cli.ExperimentSpec(**given)
