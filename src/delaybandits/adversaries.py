@@ -351,7 +351,11 @@ class ParityTrapLoss:
 
     def loss(self, t: int, actions: Sequence) -> float:
         if t & 1:
+            if t < 1:
+                raise ValueError(f"t={t} outside 1..T")
             return 0.0 if actions[t - 1] == self.best_arm else 1.0
+        if t < 2:
+            raise ValueError(f"t={t} outside 1..T")
         return 1.0 if actions[t - 2] == self.best_arm else 0.0
 
 

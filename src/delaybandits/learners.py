@@ -42,6 +42,14 @@ class Exp3Learner:
     actions are those of one draw per round.  A clipped loss of 0 adds 0.0
     to an estimate that is never -0.0, which leaves the estimates, and so
     the distribution, exactly as they were: ``observe`` returns early then.
+
+    Two arms take a short branch in ``act`` and ``observe`` with the same
+    outputs, bit for bit, as the general K-arm body: one compare draws the
+    arm, because the inverse-CDF loop's first sum is ``0.0 + p0 == p0``; and
+    one ``exp`` updates, because the smaller estimate's weight is
+    ``exp(-0.0) == 1.0`` and the ``fsum`` of two floats is their one
+    correctly rounded add, so z = 1 + exp(-eta * (hi - lo)).  Ties count
+    arm 0 as the smaller.
     """
 
     __slots__ = ("arm_count", "learning_rate", "cum_loss_est", "probs", "rng", "pending_prob",
@@ -70,8 +78,15 @@ class Exp3Learner:
             i = 0
         u = self._draws[i]
         self._next_draw = i + 1
-        acc = 0.0
         probs = self.probs
+        if self.arm_count == 2:
+            p0 = probs[0]
+            if u < p0:
+                self.pending_prob = p0
+                return 0
+            self.pending_prob = probs[1]
+            return 1
+        acc = 0.0
         last = self.arm_count - 1
         for arm in range(last):
             acc += probs[arm]
@@ -103,6 +118,17 @@ class Exp3Learner:
         cum = self.cum_loss_est
         cum[action] += loss / prob
         eta = self.learning_rate
+        if self.arm_count == 2:
+            c0, c1 = cum
+            if c0 <= c1:
+                w = math.exp(-eta * (c1 - c0))
+                z = 1.0 + w
+                self.probs = [1.0 / z, w / z]
+            else:
+                w = math.exp(-eta * (c0 - c1))
+                z = 1.0 + w
+                self.probs = [w / z, 1.0 / z]
+            return
         m = min(cum)
         weights = [math.exp(-eta * (c - m)) for c in cum]
         z = math.fsum(weights)

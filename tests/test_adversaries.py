@@ -483,6 +483,13 @@ def test_parity_trap_pairs_always_cost_one():
         assert total == 3.0
 
 
+def test_parity_trap_rejects_rounds_below_one():
+    loss = adv.ParityTrapLoss(0)
+    for t, actions in ((0, [1, 0]), (-1, [0, 1])):
+        with pytest.raises(ValueError, match=f"t={t} "):
+            loss.loss(t, actions)
+
+
 def test_parity_split_and_delay():
     d = adv.ParityDelay()
     assert d.delay_span == 2

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import util
@@ -149,7 +149,7 @@ class ScalarExp3:
 
 
 @given(
-    arm_count=st.integers(min_value=2, max_value=6),
+    arm_count=st.integers(min_value=3, max_value=6),
     rounds=st.integers(min_value=1, max_value=40),
     horizon=st.integers(min_value=1, max_value=200),
     zero_rate=st.floats(min_value=0.0, max_value=1.0),
@@ -169,6 +169,42 @@ def test_exp3_matches_scalar_oracle(arm_count, rounds, horizon, zero_rate, seed)
         oracle.observe(t, a, observed)
         assert learner.probs == oracle.probs
         assert learner.cum_loss_est == oracle.cum_loss_est
+
+
+_TWO_ARM_LOSSES = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 1.5]), st.floats(0.0, 1.5))
+_TWO_ARM_PROBS = st.one_of(st.sampled_from([1e-3, 0.5, 1.0]), st.floats(1e-3, 1.0))
+
+
+@given(
+    steps=st.lists(
+        st.tuples(st.booleans(), st.integers(0, 1), _TWO_ARM_LOSSES, _TWO_ARM_PROBS),
+        max_size=80,
+    ),
+    seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+)
+# an exact tie, then the estimates spread until exp underflows to 0.0 and
+# the probabilities read [1.0, 0.0], or [0.0, 1.0] the other way round
+@example(steps=[(False, 0, 0.5, 0.5), (False, 1, 0.5, 0.5), (True, 0, 0.0, 1.0)], seed=0)
+@example(steps=[(False, 1, 1.0, 1e-3)] * 10 + [(True, 0, 0.5, 1.0)] * 3, seed=1)
+@example(steps=[(False, 0, 1.0, 1e-3)] * 10 + [(True, 0, 0.5, 1.0)] * 3, seed=2)
+@settings(max_examples=300, deadline=None)
+def test_exp3_two_arm_branch_matches_general_body(steps, seed):
+    # each step either draws from act() or stands in for it with any arm
+    # and any probability down to 1e-3, as the positivity test does
+    learner = lrn.Exp3Learner(2, 50, np.random.default_rng(seed))
+    oracle = ScalarExp3(2, 50, np.random.default_rng(seed))
+    for t, (draw, arm, observed, prob) in enumerate(steps, 1):
+        if draw:
+            arm = learner.act(t)
+            assert arm == oracle.act(t)
+            assert learner.pending_prob == oracle.pending_prob
+        else:
+            learner.pending_prob = oracle.pending_prob = prob
+        learner.observe(t, arm, observed)
+        oracle.observe(t, arm, observed)
+        assert learner.probs == oracle.probs
+        assert learner.cum_loss_est == oracle.cum_loss_est
+        assert learner.pending_prob is oracle.pending_prob is None
 
 
 def test_exp3_zero_loss_leaves_distribution_unchanged():
