@@ -16,7 +16,8 @@ The package has five layers:
   accounting audit.
 - :mod:`delaybandits.checks` states each invariant of the constructions
   once, parameterized by scale and seeds; ``delaybandits verify`` runs it
-  small and the acceptance tests run it at full scale.
+  small and the acceptance tests run it at full scale.  It builds the CLI
+  pairings it plays with ``cli._build_run``, the CLI's own builder.
 
 All randomness is derived from named child streams of a single master
 seed, so every run, sweep, and figure is reproducible bit for bit.

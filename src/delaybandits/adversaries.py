@@ -445,9 +445,11 @@ class SeededSplitDelay:
         if delay_span < 1:
             raise ValueError("delay_span must be >= 1")
         self.delay_span = int(delay_span)
+        self.horizon = horizon
         raw = substream(master_seed, SPLIT_STREAM).random((horizon, self.delay_span)) + 1e-3
         self._fractions = (raw / raw.sum(axis=1, keepdims=True)).tolist()
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
-        fr = self._fractions[t - 1]
-        return tuple(loss_value * f for f in fr)
+        if not 1 <= t <= self.horizon:
+            raise ValueError(f"t={t} outside 1..{self.horizon}")
+        return tuple(loss_value * f for f in self._fractions[t - 1])

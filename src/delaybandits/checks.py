@@ -4,7 +4,9 @@ Each check runs at the scale and on the seeds it is given and returns what
 it measured, together with the verdicts its thresholds give.  The
 acceptance tests run the checks at full scale; ``delaybandits verify``
 runs them small through :data:`SUITES`, which maps each suite name to a
-function returning ``(passed, label)`` pairs.
+function returning ``(passed, label)`` pairs.  A check that plays a CLI
+pairing builds it with ``cli._build_run`` through :func:`play`, so it
+measures the runs the CLI makes.
 """
 
 from __future__ import annotations
@@ -18,9 +20,18 @@ import numpy as np
 
 from . import adversaries as adv
 from . import analysis
+from . import cli
 from . import core
 from . import learners as lrn
 from .seeding import LEARNER_STREAM, run_seed, substream
+
+
+def play(spec, horizon: int, master_seed: int):
+    """Play one run of ``spec`` as the CLI builds it; returns
+    ``(transcript, loss, delay, tau)``."""
+    config, learner, loss, delay, tau = cli._build_run(spec, horizon, master_seed)
+    return core.run_game(config, learner, loss, delay), loss, delay, tau
+
 
 # ---------------------------------------------------------------------------
 # parity trap
@@ -88,17 +99,15 @@ class MaskingRun(NamedTuple):
 
 def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
     """Uniform play on master seed ``seed`` against the gap walk with the
-    default gap and sigma, delayed by its masking state machine.
+    default gap and sigma, delayed by its masking state machine: the CLI's
+    gapwalk + statemachine + uniform run, so ``horizon`` is an int >= 3.
 
     The machine starts high, so a first round in the low state counts as
     a switch.
     """
-    gap, sigma = adv.gap_walk_defaults(arm_count, horizon)
-    loss = adv.GapWalkLoss.from_seed(arm_count, horizon, gap, sigma, seed)
-    machine = adv.DelayStateMachine(loss)
-    learner = lrn.UniformRandomLearner(arm_count, substream(seed, LEARNER_STREAM))
-    config = core.GameConfig(horizon, core.Discrete(arm_count), master_seed=seed)
-    tr = core.run_game(config, learner, loss, machine)
+    spec = cli.ExperimentSpec("gapwalk", "statemachine", "uniform",
+                              horizons=(horizon,), arm_count=arm_count)
+    tr, loss, machine, _ = play(spec, horizon, seed)
 
     carries = machine.carries
     baseline = map(loss.masked_baseline, range(1, horizon + 1), machine.lows)
@@ -113,8 +122,8 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
     pulls, budget = 0, 0.0
     if loss.best_arm is not None:
         pulls = tr.actions.count(loss.best_arm)
-        budget = adv.switch_bound(gap, pulls)
-    return MaskingRun(gap, loss.best_arm, pulls, machine.switch_count, budget,
+        budget = adv.switch_bound(loss.gap, pulls)
+    return MaskingRun(loss.gap, loss.best_arm, pulls, machine.switch_count, budget,
                       min(carries), max(carries), residual, split_ok)
 
 
@@ -255,23 +264,15 @@ def unit_batch_reduction(horizon: int, seeds: int, seed_base: int) -> UnitBatch:
     Three arms, an iid loss table, no delay; run i plays on
     ``run_seed(seed_base, i)``.
     """
-    k = 3
-    config = core.GameConfig(horizon, core.Discrete(k))
+    common = dict(adversary="iid", delay="none", horizons=(horizon,), arm_count=3)
+    bare_spec = cli.ExperimentSpec(learner="exp3", **common)
+    wrapped_spec = cli.ExperimentSpec(learner="wrapper-exp3", batch_size=1, **common)
     identical = 0
     regret_gap = 0.0
     for rep in range(seeds):
         seed = run_seed(seed_base, rep)
-        loss = adv.TableLoss.from_seed(k, horizon, seed)
-        bare = core.run_game(
-            config, lrn.Exp3Learner(k, horizon, substream(seed, LEARNER_STREAM)),
-            loss, adv.NoDelay(),
-        )
-        wrapped = core.run_game(
-            config,
-            lrn.MiniBatchWrapper(
-                lrn.Exp3Learner(k, horizon, substream(seed, LEARNER_STREAM)), 1, horizon),
-            loss, adv.NoDelay(),
-        )
+        bare, loss, _, _ = play(bare_spec, horizon, seed)
+        wrapped = play(wrapped_spec, horizon, seed)[0]
         identical += (wrapped.actions == bare.actions
                       and wrapped.observed == bare.observed
                       and wrapped.true_losses == bare.true_losses)
@@ -358,17 +359,12 @@ def _verify_wrapper() -> list:
     """Wrapper reduction identity and batch accounting."""
     lines = [(unit_batch_reduction(2048, seeds=1, seed_base=13).ok,
               "batch size 1 wrapper reproduces the raw learner exactly")]
-    horizon, k = 2048, 3
     audits_ok = True
     for d, tau in ((2, 8), (4, 8), (3, 16)):
-        seed = run_seed(13, d * 100 + tau)
-        loss = adv.TableLoss.from_seed(k, horizon, seed)
-        delay = adv.LastSlotDelay(d)
-        config = core.GameConfig(horizon, core.Discrete(k), master_seed=seed)
-        inner = lrn.Exp3Learner(k, horizon // tau, substream(seed, LEARNER_STREAM))
-        tr = core.run_game(config, lrn.MiniBatchWrapper(inner, tau, horizon), loss, delay)
-        if not analysis.audit_delay_accounting(tr, tau).passed:
-            audits_ok = False
+        spec = cli.ExperimentSpec("iid", "lastslot", "wrapper-exp3", horizons=(2048,),
+                                  arm_count=3, delay_span=d, batch_size=tau)
+        tr = play(spec, 2048, run_seed(13, d * 100 + tau))[0]
+        audits_ok &= analysis.audit_delay_accounting(tr, tau).passed
     lines.append((audits_ok, "batch accounting holds under worst-case full delay"))
     lines.append((lrn.choose_tau(10 ** 6, 8) == 50 and lrn.choose_tau(8, 8, 5) == 6,
                   "automatic batch size honors its floors"))

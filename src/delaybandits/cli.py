@@ -35,7 +35,6 @@ from itertools import product, repeat
 
 from . import adversaries as adv
 from . import analysis
-from . import checks
 from . import core
 from . import learners as lrn
 from .seeding import LEARNER_STREAM, run_seed, substream
@@ -240,6 +239,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks  # checks builds its runs with this module
     names = args.suite or list(checks.SUITES)
     for name in names:
         if name not in checks.SUITES:
@@ -332,6 +332,7 @@ def _spec_from_args(args) -> ExperimentSpec:
 
 
 def build_parser() -> _Parser:
+    from . import checks
     parser = _Parser(prog="delaybandits", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 

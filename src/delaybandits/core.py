@@ -152,6 +152,9 @@ class GameConfig:
     master_seed: int = 0
 
     def __post_init__(self):
+        # numpy.bool_ is no numpy.integer; bool is an int
+        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
+            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
 

@@ -101,9 +101,7 @@ def test_batch_accounting_audit_on_wrapper_sweeps(capsys):
 
     def run_and_audit(spec, horizon, rep):
         nonlocal audits, passed, worst_gap, worst_batch, worst_resid
-        seed = run_seed(spec.seed_base, rep)
-        config, learner, loss, delay, tau = cli._build_run(spec, horizon, seed)
-        tr = run_game(config, learner, loss, delay)
+        tr, _, _, tau = checks.play(spec, horizon, run_seed(spec.seed_base, rep))
         audit = audit_delay_accounting(tr, tau)
         audits += 1
         passed += audit.passed

@@ -3,16 +3,17 @@
 import math
 import warnings
 from decimal import Decimal, getcontext
+from itertools import product
 from operator import ne
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import checks, core
+from delaybandits import checks, cli, core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, LOSS_TABLE_STREAM, WALK_STREAM, run_seed, substream
 
@@ -48,7 +49,7 @@ def test_width_frozen_values():
 
 def test_width_matches_brute_force():
     for horizon in range(1, 65):
-        assert adv.width(adv.walk_parent, horizon) == util.brute_force_width(
+        assert adv.width(adv.walk_parent, horizon) == checks.brute_force_width(
             adv.walk_parent, horizon
         )
 
@@ -478,7 +479,7 @@ def test_parity_trap_loss_table():
 
 def test_parity_trap_pairs_always_cost_one():
     loss = adv.ParityTrapLoss(1)
-    for seq in util.exhaustive_action_sequences(6):
+    for seq in product((0, 1), repeat=6):
         total = sum(loss.loss(t, seq) for t in range(1, 7))
         assert total == 3.0
 
@@ -536,24 +537,14 @@ def test_lagged_loss_values():
 
 
 def test_no_delay_is_identity():
-    seed = run_seed(6, 0)
-    loss = adv.TableLoss.from_seed(2, 50, seed)
-    cfg = core.GameConfig(50, core.Discrete(2), master_seed=seed)
-    tr = core.run_game(
-        cfg, lrn.UniformRandomLearner(2, substream(seed, LEARNER_STREAM)), loss, adv.NoDelay()
-    )
+    tr = checks.play(cli.ExperimentSpec("iid", "none", "uniform"), 50, run_seed(6, 0))[0]
     assert tr.observed == tr.true_losses
 
 
 @pytest.mark.parametrize("d", [2, 3, 6])
 def test_last_slot_delay_shifts_by_full_span(d):
-    seed = run_seed(7, d)
-    loss = adv.TableLoss.from_seed(2, 40, seed)
-    cfg = core.GameConfig(40, core.Discrete(2), master_seed=seed)
-    tr = core.run_game(
-        cfg, lrn.UniformRandomLearner(2, substream(seed, LEARNER_STREAM)),
-        loss, adv.LastSlotDelay(d),
-    )
+    spec = cli.ExperimentSpec("iid", "lastslot", "uniform", delay_span=d)
+    tr = checks.play(spec, 40, run_seed(7, d))[0]
     for t in range(1, 41):
         want = tr.true_losses[t - d] if t >= d else 0.0
         assert tr.observed[t - 1] == pytest.approx(want, abs=1e-12)
@@ -573,6 +564,9 @@ def test_seeded_split_delay_rows_are_valid_and_reproducible():
         assert all(c > 0 for c in sp)
         assert math.fsum(sp) == pytest.approx(0.8, abs=1e-12)
         assert sp == b.split(t, [0] * t, 0.8)
+    for t in (0, -1, 31):
+        with pytest.raises(ValueError, match=f"^t={t} outside 1..30$"):
+            a.split(t, [0] * 31, 0.8)
 
 
 def test_constant_loss_validation():

@@ -8,7 +8,7 @@ from scipy.stats import norm
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import analysis
+from delaybandits import analysis, checks, cli
 from delaybandits import core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
@@ -234,12 +234,9 @@ def test_fit_exponent_validation():
 
 
 def run_wrapped(horizon, tau, d, seed_tag):
-    master = run_seed(70, seed_tag)
-    loss = adv.TableLoss.from_seed(2, horizon, master)
-    delay = adv.NoDelay() if d == 1 else adv.LastSlotDelay(d)
-    inner = lrn.Exp3Learner(2, max(horizon // tau, 1), substream(master, LEARNER_STREAM))
-    cfg = core.GameConfig(horizon, core.Discrete(2), master_seed=master)
-    return core.run_game(cfg, lrn.MiniBatchWrapper(inner, tau, horizon), loss, delay)
+    spec = cli.ExperimentSpec("iid", "none" if d == 1 else "lastslot", "wrapper-exp3",
+                              delay_span=0 if d == 1 else d, batch_size=tau)
+    return checks.play(spec, horizon, run_seed(70, seed_tag))[0]
 
 
 def test_audit_no_delay_is_exactly_tight():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delaybandits import cli, core
+from delaybandits import checks, cli, core
 from delaybandits.seeding import run_seed
 
 
@@ -143,8 +143,25 @@ class TestUsageErrors:
         # a list would leave a frozen spec that cannot be hashed
         (dict(horizons=64), "--T must be given as a tuple of horizons, got 64"),
         (dict(horizons=[64, 128]), "--T must be given as a tuple of horizons, got [64, 128]"),
+        (dict(adversary="walk"), f"unknown adversary 'walk'; choose from {cli.ADVERSARIES}"),
+        (dict(delay="full"), f"unknown delay 'full'; choose from {cli.DELAYS}"),
+        (dict(learner="exp4"), f"unknown learner 'exp4'; choose from {cli.LEARNERS}"),
+        (dict(horizons=()), "need at least one horizon (--T)"),
+        (dict(horizons=(64, 0)), "horizons must be >= 1"),
+        (dict(horizons=(64, 128, 64)), "horizons must be distinct"),
+        (dict(arm_count=1), "--K must be >= 2"),
+        (dict(repetitions=0), "--seeds must be >= 1"),
+        (dict(workers=0), "--workers must be >= 1"),
+        (dict(batch_size=-1), "--tau, --d and --m must be >= 0"),
+        (dict(delay="lastslot", delay_span=-2), "--tau, --d and --m must be >= 0"),
+        (dict(memory_bound=-1), "--tau, --d and --m must be >= 0"),
+        (dict(adversary="iid", delay="parity"), "--delay parity requires --adversary paritytrap"),
+        (dict(horizons=(2,)), "gapwalk default schedules need T >= 3"),
     ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot",
-            "T-bare-int", "T-list"])
+            "T-bare-int", "T-list", "unknown-adversary", "unknown-delay", "unknown-learner",
+            "T-none", "T-below-1", "T-duplicate", "K-below-2", "seeds-below-1",
+            "workers-below-1", "tau-negative", "d-negative", "m-negative",
+            "parity-without-trap", "gapwalk-T-below-3"])
     def test_spec_built_in_python_is_checked(self, given, message):
         with pytest.raises(cli.UsageError) as info:
             cli.ExperimentSpec(**given)
@@ -247,8 +264,7 @@ def test_same_pairing_and_seed_replay_identically(pairing, learner, horizon, see
                               memory_bound=int(options.get("--m", 0)))
     runs = []
     for _ in range(2):
-        config, lrn, loss, dly, _ = cli._build_run(spec, horizon, seed)
-        tr = core.run_game(config, lrn, loss, dly)
+        tr, loss, dly, _ = checks.play(spec, horizon, seed)
         runs.append((tr, core.policy_regret(tr, loss)))
     assert runs[0] == runs[1]
     assert tr.delay_span == dly.delay_span
@@ -304,6 +320,13 @@ def test_analyze_non_numeric_column_names_it(tmp_path, capsys):
     assert cli.main(["run", "--T", "64", "--out", str(out)]) == 0
     assert cli.main(["analyze", str(out), "--metric", "learner"]) == 1
     assert "'learner'" in capsys.readouterr().err
+
+
+def test_analyze_header_only_csv_has_no_data_rows(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_text(",".join(cli.CSV_COLUMNS) + "\n")
+    assert cli.main(["analyze", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: no data rows in {empty}\n"
 
 
 def test_analyze_needs_three_horizons(tmp_path):

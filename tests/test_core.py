@@ -2,6 +2,7 @@
 
 import gc
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -93,6 +94,11 @@ def test_game_config_validation():
     # the seed is keyword-only, so a leftover delay span cannot pass for it
     with pytest.raises(TypeError):
         core.GameConfig(8, core.Discrete(2), 2)
+    for horizon in (2.5, float("nan"), True, np.bool_(True), "8"):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer, got {horizon!r}$"):
+            make_config(horizon)
+    assert len(core.run_game(make_config(np.int64(5)), lrn.ScriptedLearner([0] * 5),
+                             adv.ConstantLoss(0.5), adv.NoDelay()).actions) == 5
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +656,7 @@ def test_parity_trap_all_sequences_at_t4():
     # counts odd-round mistakes
     for best in (0, 1):
         loss = adv.ParityTrapLoss(best)
-        for seq in util.exhaustive_action_sequences(4):
+        for seq in product((0, 1), repeat=4):
             tr = core.run_game(
                 make_config(4), lrn.ScriptedLearner(seq), loss, adv.ParityDelay()
             )

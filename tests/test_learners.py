@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import core
+from delaybandits import checks, core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
@@ -370,21 +370,10 @@ def test_wrapper_validation():
 
 
 def test_wrapper_batch_one_is_bit_exact_identity():
-    horizon = 400
-    master = run_seed(8, 0)
-    loss = adv.TableLoss.from_seed(3, horizon, master)
-    cfg = core.GameConfig(horizon, core.Discrete(3), master_seed=master)
-    raw = core.run_game(
-        cfg, lrn.Exp3Learner(3, horizon, substream(master, LEARNER_STREAM)),
-        loss, adv.NoDelay(),
-    )
-    wrapped_learner = lrn.MiniBatchWrapper(
-        lrn.Exp3Learner(3, horizon, substream(master, LEARNER_STREAM)), 1, horizon
-    )
-    wrapped = core.run_game(cfg, wrapped_learner, loss, adv.NoDelay())
-    assert raw.actions == wrapped.actions
-    assert raw.observed == wrapped.observed
-    assert raw.true_losses == wrapped.true_losses
+    # the check verify and the acceptance test run, small: equal actions,
+    # observations and losses, and equal policy regret
+    unit = checks.unit_batch_reduction(400, seeds=1, seed_base=8)
+    assert unit.identical == 1 and unit.regret_gap == 0.0
 
 
 def test_wrapped_exp3_sees_only_batch_count_rounds():

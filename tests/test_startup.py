@@ -1,6 +1,8 @@
 """Importing the package loads only what the simulator uses: scipy comes in
-on the first call of a censored-Gaussian tool, and the process pool only
-when a sweep asks for workers."""
+on the first call of a censored-Gaussian tool, the process pool only when
+a sweep asks for workers, and the verification checks only when the CLI
+needs them.  ``checks`` builds its runs with ``cli``, which imports
+``checks`` late, so either module also imports first on its own."""
 
 import json
 import os
@@ -19,7 +21,7 @@ from delaybandits import analysis
 
 at_import = sorted(m for m in sys.modules
                    if m == "scipy" or m.startswith("scipy.")
-                   or m == "concurrent.futures.process")
+                   or m in ("concurrent.futures.process", "delaybandits.checks"))
 kl = analysis.censored_kl(analysis.CensoredGaussian(0.7, 0.2),
                           analysis.CensoredGaussian(0.8, 0.2))
 print(json.dumps({"at_import": at_import, "kl": kl,
@@ -27,11 +29,18 @@ print(json.dumps({"at_import": at_import, "kl": kl,
 """
 
 
-def test_import_loads_neither_scipy_nor_the_process_pool():
+def last_line(code: str) -> str:
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    out = subprocess.run([sys.executable, "-c", CHILD], env=env, check=True,
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=60).stdout
-    report = json.loads(out.splitlines()[-1])
+    return out.splitlines()[-1]
+
+
+def test_import_loads_neither_scipy_nor_the_process_pool():
+    report = json.loads(last_line(CHILD))
     assert report["at_import"] == []
     assert 0.0 < report["kl"] < float("inf")
     assert report["after_kl"]
+    # checks imports cli at module level, so it must also load first
+    assert last_line("import delaybandits.checks as c; print(*c.SUITES)") == (
+        "splits thm1 lowerbound walk kl wrapper")

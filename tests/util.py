@@ -15,20 +15,6 @@ from scipy.stats import norm
 from delaybandits.core import SPLIT_ATOL, SplitError
 
 
-def brute_force_width(parent_rule, horizon: int) -> int:
-    """Literal maximum, over cut times in [1, horizon], of the number of
-    rounds whose parent falls at or before the cut while the round itself
-    lies strictly after it."""
-    best = 0
-    for cut in range(1, horizon + 1):
-        n = 0
-        for s in range(1, horizon + 1):
-            if parent_rule(s) <= cut < s:
-                n += 1
-        best = max(best, n)
-    return best
-
-
 def naive_constant_regret(loss_adversary, actions, comparators):
     """Policy regret by replaying each constant action sequence in full."""
     horizon = len(actions)
@@ -197,16 +183,6 @@ def simpson_censored_kl(mu_p, mu_q, sigma, lower, upper, n=8193) -> float:
     weights[2:-1:2] = 2.0
     total = float(h / 3 * np.dot(weights, integrand))
     return total + _atom_terms(mu_p, mu_q, sigma, lower, upper)
-
-
-def exhaustive_action_sequences(horizon: int, arm_count: int = 2):
-    """Yield every deterministic action sequence of the given length."""
-    for code in range(arm_count ** horizon):
-        seq, c = [], code
-        for _ in range(horizon):
-            seq.append(c % arm_count)
-            c //= arm_count
-        yield seq
 
 
 class LaggedLoss:
