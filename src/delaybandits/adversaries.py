@@ -23,6 +23,7 @@ the carry dynamics.
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import Sequence
 
 import numpy as np
@@ -238,6 +239,11 @@ class GapWalkLoss:
             raise ValueError(f"t={t} outside 1..{self.horizon}")
         return self._low[t] if actions[t - 1] == self.best_arm else self._high[t]
 
+    def column(self, y, horizon: int) -> list:
+        """Arm y's losses for rounds 1..horizon: a slice of one table."""
+        _check_column_horizon(horizon, self.horizon)
+        return (self._low if y == self.best_arm else self._high)[1 : horizon + 1]
+
     def masked_baseline(self, t: int, low: bool) -> float:
         """Truncated walk value, less the gap when ``low``:
         clip(W_t + 0.75, 0.5, 1) when high, clip((W_t + 0.75) - gap, 0.5, 1)
@@ -384,7 +390,14 @@ class ConstantLoss:
         self.value = float(value)
 
     def loss(self, t: int, actions: Sequence) -> float:
+        if t < 1:
+            raise ValueError(f"t={t} outside 1..T")
         return self.value
+
+    def column(self, y, horizon: int) -> list:
+        """Arm y's losses for rounds 1..horizon."""
+        _check_column_horizon(horizon, None)
+        return [self.value] * horizon
 
 
 class TableLoss:
@@ -413,6 +426,20 @@ class TableLoss:
         except IndexError:
             raise ValueError(f"t={t} outside 1..{self.horizon}") from None
         return row[actions[t - 1]]
+
+    def column(self, y, horizon: int) -> list:
+        """Arm y's losses for rounds 1..horizon, one entry of each row."""
+        _check_column_horizon(horizon, self.horizon)
+        return [row[y] for row in islice(self._rows, horizon)]
+
+
+def _check_column_horizon(horizon, limit) -> None:
+    """A column covers rounds 1..horizon; a loss defined up to ``limit``
+    (None: every round) rejects the first round past it, as ``loss`` does."""
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    if limit is not None and horizon > limit:
+        raise ValueError(f"t={limit + 1} outside 1..{limit}")
 
 
 class NoDelay:

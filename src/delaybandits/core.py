@@ -13,7 +13,8 @@ Protocol per round t = 1..T:
 The learner never sees per-round losses, only the anonymous aggregates.
 Regret is accounted against the true losses by counterfactual replay: one
 call, :func:`policy_regret`, returns both the policy and the pseudo regret
-of a transcript.  That is why adversaries must realize all randomness from
+of a transcript, reading an oblivious loss's per-arm columns where it has
+them.  That is why adversaries must realize all randomness from
 counter-style seed streams (see :mod:`delaybandits.seeding`): a replayed
 history re-reads the same random values the live run used.
 
@@ -31,6 +32,7 @@ import gc
 import math
 from dataclasses import KW_ONLY, dataclass
 from itertools import repeat
+from operator import getitem
 from typing import Optional
 
 import numpy as np
@@ -431,7 +433,16 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     (y, ..., y), and the pseudo total sums l_t over the history that keeps
     a_1..a_{t-1} and plays y in round t.  For oblivious (memoryless)
     adversaries both equal standard external regret.  Every total is a
-    ``math.fsum``; a replay makes (2K + 1) T loss calls for K comparators.
+    ``math.fsum``.
+
+    Row path: when the loss has a ``column(y, T)`` method, which returns arm
+    y's losses l_1(y)..l_T(y) of an oblivious loss, and every played action
+    is a comparator, no ``loss`` call is made.  The played entries of the
+    columns are checked against the recorded losses, and both totals of y
+    are one fsum of y's column: the same correctly rounded sum of the same
+    floats as the replay's.  The stock oblivious losses (``ConstantLoss``,
+    ``TableLoss``, ``GapWalkLoss``) have the method; any other loss, or a
+    played action outside the comparators, is replayed call by call.
     """
     if comparators is None:
         comparators = transcript.config.action_space.comparators()
@@ -440,10 +451,17 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
         raise ValueError("need at least one comparator")
 
     T = transcript.horizon
-    loss_fn = loss_adversary.loss
+    actions = transcript.actions
     rounds = range(1, T + 1)
     losses = transcript.true_losses
-    replayed = tuple(map(loss_fn, rounds, repeat(list(transcript.actions), T)))
+    found = _comparator_columns(loss_adversary, actions, comparators, T)
+    if found is None:
+        loss_fn = loss_adversary.loss
+        replayed = tuple(map(loss_fn, rounds, repeat(list(actions), T)))
+    else:
+        # zip(*columns) yields round t's loss for each comparator in turn
+        index, columns = found
+        replayed = tuple(map(getitem, zip(*columns), map(index.__getitem__, actions)))
     if replayed != losses:
         for t, again, recorded in zip(rounds, replayed, losses):
             if again != recorded:
@@ -452,21 +470,46 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
                     f"{recorded!r}; adversary randomness is not replay-stable"
                 )
 
-    constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
-    swapped = []
-    for y in comparators:
-        # walk t downwards: rounds after t already hold y, and loss(t, .)
-        # reads rounds 1..t only, so nothing needs restoring; fsum is
-        # correctly rounded, so the order of the terms does not matter
-        hist = list(transcript.actions)
-        vals = []
-        append = vals.append
-        for t in range(T, 0, -1):
-            hist[t - 1] = y
-            append(loss_fn(t, hist))
-        swapped.append(math.fsum(vals))
+    if found is not None:
+        totals = [math.fsum(col) for col in columns]
+        constant = swapped = [totals[index[y]] for y in comparators]
+    else:
+        constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
+        swapped = []
+        for y in comparators:
+            # walk t downwards: rounds after t already hold y, and loss(t, .)
+            # reads rounds 1..t only, so nothing needs restoring; fsum is
+            # correctly rounded, so the order of the terms does not matter
+            hist = list(actions)
+            vals = []
+            append = vals.append
+            for t in range(T, 0, -1):
+                hist[t - 1] = y
+                append(loss_fn(t, hist))
+            swapped.append(math.fsum(vals))
     realized = transcript.realized_total
     return RegretReport(realized, realized - min(constant), realized - min(swapped))
+
+
+def _comparator_columns(loss_adversary, actions, comparators, horizon) -> Optional[tuple]:
+    """``(index, columns)`` with ``columns[index[y]]`` the loss's
+    ``column(y, horizon)`` for each distinct comparator y; None when the loss
+    has no ``column`` method or some played action is not a comparator
+    (unhashable actions, such as points of a ball, never are)."""
+    column = getattr(loss_adversary, "column", None)
+    if column is None:
+        return None
+    try:
+        index = {y: i for i, y in enumerate(dict.fromkeys(comparators))}
+        if not set(actions).issubset(index):
+            return None
+    except TypeError:
+        return None
+    columns = [column(y, horizon) for y in index]
+    for y, col in zip(index, columns):
+        if len(col) != horizon:
+            raise ValueError(f"column({y!r}, {horizon}) has {len(col)} entries")
+    return index, columns
 
 
 # ---------------------------------------------------------------------------

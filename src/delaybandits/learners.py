@@ -336,6 +336,8 @@ class ScriptedLearner:
         self.actions = list(actions)
 
     def act(self, t: int):
+        if not 1 <= t <= len(self.actions):
+            raise ValueError(f"t={t} outside the script's rounds 1..{len(self.actions)}")
         return self.actions[t - 1]
 
     def observe(self, t: int, action, observed: float) -> None:

@@ -572,3 +572,47 @@ def test_seeded_split_delay_rows_are_valid_and_reproducible():
 def test_constant_loss_validation():
     with pytest.raises(ValueError):
         adv.ConstantLoss(1.5)
+
+
+@pytest.mark.parametrize("t", [0, -3])
+def test_constant_loss_rejects_rounds_before_the_first(t):
+    loss = adv.ConstantLoss(0.5)
+    with pytest.raises(ValueError, match=f"^t={t} outside 1..T$"):
+        loss.loss(t, [])
+    assert loss.loss(1, [0]) == loss.loss(10 ** 6, [0]) == 0.5
+
+
+def _stock_oblivious_losses():
+    walk = adv.MultiScaleWalk(0.2, 40, master_seed=3)
+    return {
+        "constant": adv.ConstantLoss(0.25),
+        "table": adv.TableLoss.from_seed(3, 40, 11),
+        "gapwalk": adv.GapWalkLoss(walk, 3, best_arm=1, gap=0.1),
+        "gapwalk-nobest": adv.GapWalkLoss(walk, 3, best_arm=None, gap=0.1),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_stock_oblivious_losses()))
+def test_column_reads_the_losses_of_the_constant_history(name):
+    loss = _stock_oblivious_losses()[name]
+    for y in range(3):
+        for horizon in (1, 17, 40):
+            col = loss.column(y, horizon)
+            assert type(col) is list and len(col) == horizon
+            assert col == [loss.loss(t, [y] * t) for t in range(1, horizon + 1)]
+
+
+@pytest.mark.parametrize("name", sorted(_stock_oblivious_losses()))
+def test_column_rejects_horizons_the_loss_does_not_cover(name):
+    loss = _stock_oblivious_losses()[name]
+    for horizon in (0, -2):
+        with pytest.raises(ValueError, match=f"^horizon must be >= 1, got {horizon}$"):
+            loss.column(0, horizon)
+    if name == "constant":
+        assert loss.column(0, 10 ** 4) == [0.25] * 10 ** 4
+        return
+    # past the loss's own horizon: the error loss(41, ...) raises
+    with pytest.raises(ValueError) as from_loss:
+        loss.loss(41, [0] * 41)
+    with pytest.raises(ValueError, match=f"^{from_loss.value}$"):
+        loss.column(0, 41)

@@ -1,5 +1,6 @@
 """Game loop, feedback buffer, regret accounting, memory probe."""
 
+import dataclasses
 import gc
 import math
 from itertools import product
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import core
+from delaybandits import checks, cli, core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
@@ -671,6 +672,120 @@ def test_empty_comparators_rejected():
     tr = core.run_game(make_config(2), lrn.ScriptedLearner([0, 0]), loss, adv.NoDelay())
     with pytest.raises(ValueError):
         core.policy_regret(tr, loss, comparators=[])
+
+
+# ---------------------------------------------------------------------------
+# regret by column reads (the row path)
+
+
+class ReplayOnly:
+    """A loss without ``column``: ``policy_regret`` replays it call by call."""
+
+    def __init__(self, inner):
+        self.loss = inner.loss
+
+
+class ForwardingCounter(CountingLoss):
+    """Counts loss calls and forwards every other attribute, ``column``
+    included, as the benchmark's tracing proxy does."""
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+#: (adversary, delay, delay_span, learner) for every oblivious CLI pairing
+OBLIVIOUS_PAIRINGS = [
+    (adversary, delay, span, learner)
+    for adversary in ("constant", "iid", "gapwalk")
+    for delay, span in (("none", 0), ("lastslot", 0), ("lastslot", 5), ("statemachine", 0))
+    if delay != "statemachine" or adversary == "gapwalk"
+    for learner in cli.LEARNERS
+]
+
+
+@pytest.mark.parametrize("adversary,delay,span,learner", OBLIVIOUS_PAIRINGS)
+def test_row_path_equals_replay_on_oblivious_cli_pairings(adversary, delay, span, learner):
+    for arms in (2, 3):
+        spec = cli.ExperimentSpec(adversary=adversary, delay=delay, learner=learner,
+                                  horizons=(150,), arm_count=arms, delay_span=span)
+        for rep in range(3):
+            tr, loss, _, _ = checks.play(spec, 150, run_seed(17, 10 * arms + rep))
+            assert core.policy_regret(tr, loss) == core.policy_regret(tr, ReplayOnly(loss))
+
+
+@pytest.mark.parametrize("arms", [2, 3])
+def test_row_path_equals_replay_on_gapwalk_without_hidden_arm(arms):
+    loss = adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 300, master_seed=4), arms, None, 0.1)
+    for rep in range(3):
+        seed = run_seed(18, 10 * arms + rep)
+        learner = lrn.Exp3Learner(arms, 300, substream(seed, LEARNER_STREAM))
+        tr = core.run_game(make_config(300, arms=arms, seed=seed), learner, loss,
+                           adv.DelayStateMachine(loss))
+        report = core.policy_regret(tr, loss)
+        assert report == core.policy_regret(tr, ReplayOnly(loss))
+        assert report.policy_regret == report.pseudo_regret == 0.0
+
+
+@pytest.mark.parametrize("adversary", ["constant", "iid", "gapwalk"])
+def test_row_path_makes_no_loss_calls(adversary):
+    spec = cli.ExperimentSpec(adversary=adversary, delay="none", learner="exp3",
+                              horizons=(64,), arm_count=3)
+    tr, loss, _, _ = checks.play(spec, 64, run_seed(19, 0))
+    counting = ForwardingCounter(loss)
+    assert core.policy_regret(tr, counting) == core.policy_regret(tr, ReplayOnly(loss))
+    assert counting.calls == 0
+    # a played arm outside the comparators sends the same loss down the replay
+    core.policy_regret(tr, counting, comparators=[0])
+    assert counting.calls == 3 * 64
+
+
+@pytest.mark.parametrize("adversary", ["iid", "gapwalk"])
+def test_row_path_names_the_tampered_round(adversary):
+    spec = cli.ExperimentSpec(adversary=adversary, delay="none", learner="uniform",
+                              horizons=(80,))
+    tr, loss, _, _ = checks.play(spec, 80, run_seed(20, 0))
+    true_losses = list(tr.true_losses)
+    true_losses[36] = true_losses[36] / 2
+    tampered = dataclasses.replace(tr, true_losses=tuple(true_losses))
+    match = rf"^round 37: replayed loss {tr.true_losses[36]!r} != recorded {true_losses[36]!r}"
+    for path in (loss, ReplayOnly(loss)):
+        with pytest.raises(core.ReplayError, match=match):
+            core.policy_regret(tampered, path)
+
+
+@pytest.mark.parametrize("adversary", ["iid", "gapwalk"])
+def test_row_path_rejects_a_horizon_beyond_the_loss(adversary):
+    spec = cli.ExperimentSpec(adversary=adversary, delay="none", learner="uniform",
+                              horizons=(60,))
+    seed = run_seed(21, 0)
+    tr, _, _, _ = checks.play(spec, 60, seed)
+    short = cli._build_run(spec, 50, seed)[2]
+    for path in (short, ReplayOnly(short)):
+        with pytest.raises(ValueError, match=r"^t=51 outside 1\.\.50$"):
+            core.policy_regret(tr, path)
+
+
+def test_unhashable_actions_keep_the_replay():
+    # points of a ball cannot key the columns; the same answer comes by replay
+    space = core.ConvexBall(2, 1.0, [(0.0, 0.0), (0.5, 0.0)])
+    points = [np.array([0.1 * t, 0.0]) for t in range(1, 5)]
+    loss = ForwardingCounter(adv.ConstantLoss(0.5))
+    tr = core.run_game(core.GameConfig(4, space), lrn.ScriptedLearner(points), loss,
+                       adv.NoDelay())
+    loss.calls = 0
+    assert core.policy_regret(tr, loss) == core.RegretReport(2.0, 0.0, 0.0)
+    assert loss.calls == 5 * 4
+
+
+def test_row_path_rejects_a_column_of_the_wrong_length():
+    class Short(adv.ConstantLoss):
+        def column(self, y, horizon):
+            return super().column(y, horizon - 1)
+
+    loss = Short(0.5)
+    tr = core.run_game(make_config(4), lrn.ScriptedLearner([0, 1, 1, 0]), loss, adv.NoDelay())
+    with pytest.raises(ValueError, match=r"^column\(0, 4\) has 3 entries$"):
+        core.policy_regret(tr, loss)
 
 
 # ---------------------------------------------------------------------------

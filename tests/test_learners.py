@@ -503,3 +503,10 @@ def test_uniform_learner_is_seed_deterministic():
 def test_scripted_learner_indexes_by_round():
     s = lrn.ScriptedLearner([5, 6, 7])
     assert [s.act(1), s.act(2), s.act(3)] == [5, 6, 7]
+
+
+@pytest.mark.parametrize("t", [0, -1, 4])
+def test_scripted_learner_rejects_rounds_outside_its_script(t):
+    s = lrn.ScriptedLearner([5, 6, 7])
+    with pytest.raises(ValueError, match=f"^t={t} outside the script's rounds 1..3$"):
+        s.act(t)
