@@ -241,7 +241,7 @@ class GapWalkLoss:
 
     def column(self, y, horizon: int) -> list:
         """Arm y's losses for rounds 1..horizon: a slice of one table."""
-        _check_column_horizon(horizon, self.horizon)
+        _check_column(y, self.arm_count, horizon, self.horizon)
         return (self._low if y == self.best_arm else self._high)[1 : horizon + 1]
 
     def masked_baseline(self, t: int, low: bool) -> float:
@@ -395,8 +395,8 @@ class ConstantLoss:
         return self.value
 
     def column(self, y, horizon: int) -> list:
-        """Arm y's losses for rounds 1..horizon."""
-        _check_column_horizon(horizon, None)
+        """Arm y's losses for rounds 1..horizon, whatever y is."""
+        _check_column(y, None, horizon, None)
         return [self.value] * horizon
 
 
@@ -429,13 +429,17 @@ class TableLoss:
 
     def column(self, y, horizon: int) -> list:
         """Arm y's losses for rounds 1..horizon, one entry of each row."""
-        _check_column_horizon(horizon, self.horizon)
+        _check_column(y, self.arm_count, horizon, self.horizon)
         return [row[y] for row in islice(self._rows, horizon)]
 
 
-def _check_column_horizon(horizon, limit) -> None:
-    """A column covers rounds 1..horizon; a loss defined up to ``limit``
-    (None: every round) rejects the first round past it, as ``loss`` does."""
+def _check_column(y, arm_count, horizon, limit) -> None:
+    """Arm y's column covers rounds 1..horizon.  A loss with ``arm_count``
+    arms (None: any y) rejects y outside 0..arm_count - 1, and a loss
+    defined up to ``limit`` (None: every round) rejects the first round past
+    it, as ``loss`` does."""
+    if arm_count is not None and not 0 <= y < arm_count:
+        raise ValueError(f"arm {y!r} outside 0..{arm_count - 1}")
     if horizon < 1:
         raise ValueError(f"horizon must be >= 1, got {horizon}")
     if limit is not None and horizon > limit:

@@ -426,42 +426,50 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     """Policy and pseudo regret of a transcript, replayed through the
     adversary.
 
-    Comparators default to the action space's.  The realized history is
-    replayed first and must reproduce the recorded losses exactly, or
-    :class:`ReplayError` names the first round that differs.  Then, for
-    each comparator y, the policy total sums l_t over the constant history
-    (y, ..., y), and the pseudo total sums l_t over the history that keeps
-    a_1..a_{t-1} and plays y in round t.  For oblivious (memoryless)
-    adversaries both equal standard external regret.  Every total is a
-    ``math.fsum``.
+    Comparators default to the action space's; every one must lie in the
+    action space, or ``ValueError`` names the first that does not.  The
+    realized history is replayed first and must reproduce the recorded
+    losses exactly, or :class:`ReplayError` names the first round that
+    differs.  Then, for each comparator y, the policy total sums l_t over
+    the constant history (y, ..., y), and the pseudo total sums l_t over the
+    history that keeps a_1..a_{t-1} and plays y in round t.  For oblivious
+    (memoryless) adversaries both equal standard external regret.  Every
+    total is a ``math.fsum``.
 
     Row path: when the loss has a ``column(y, T)`` method, which returns arm
-    y's losses l_1(y)..l_T(y) of an oblivious loss, and every played action
-    is a comparator, no ``loss`` call is made.  The played entries of the
-    columns are checked against the recorded losses, and both totals of y
-    are one fsum of y's column: the same correctly rounded sum of the same
-    floats as the replay's.  The stock oblivious losses (``ConstantLoss``,
-    ``TableLoss``, ``GapWalkLoss``) have the method; any other loss, or a
-    played action outside the comparators, is replayed call by call.
+    y's losses l_1(y)..l_T(y) of an oblivious loss, and the action space is
+    :class:`Discrete`, no ``loss`` call is made.  Every arm's column is
+    read, the played entries are checked against the recorded losses, and
+    both totals of y are one fsum of y's column: the same correctly rounded
+    sum of the same floats as the replay's.  The stock oblivious losses
+    (``ConstantLoss``, ``TableLoss``, ``GapWalkLoss``) have the method; any
+    other loss, or a point of a :class:`ConvexBall`, is replayed call by
+    call.
     """
-    if comparators is None:
-        comparators = transcript.config.action_space.comparators()
-    comparators = list(comparators)
+    space = transcript.config.action_space
+    comparators = space.comparators() if comparators is None else list(comparators)
     if not comparators:
         raise ValueError("need at least one comparator")
+    for y in comparators:
+        if not space.contains(y):
+            raise ValueError(f"comparator {y!r} is not in the action space")
 
     T = transcript.horizon
     actions = transcript.actions
     rounds = range(1, T + 1)
     losses = transcript.true_losses
-    found = _comparator_columns(loss_adversary, actions, comparators, T)
-    if found is None:
+    column = getattr(loss_adversary, "column", None)
+    rows = column is not None and isinstance(space, Discrete)
+    if rows:
+        columns = [column(y, T) for y in range(space.arm_count)]
+        for y, col in enumerate(columns):
+            if len(col) != T:
+                raise ValueError(f"column({y}, {T}) has {len(col)} entries")
+        # zip(*columns) yields round t's loss for every arm; the action picks one
+        replayed = tuple(map(getitem, zip(*columns), actions))
+    else:
         loss_fn = loss_adversary.loss
         replayed = tuple(map(loss_fn, rounds, repeat(list(actions), T)))
-    else:
-        # zip(*columns) yields round t's loss for each comparator in turn
-        index, columns = found
-        replayed = tuple(map(getitem, zip(*columns), map(index.__getitem__, actions)))
     if replayed != losses:
         for t, again, recorded in zip(rounds, replayed, losses):
             if again != recorded:
@@ -470,9 +478,9 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
                     f"{recorded!r}; adversary randomness is not replay-stable"
                 )
 
-    if found is not None:
+    if rows:
         totals = [math.fsum(col) for col in columns]
-        constant = swapped = [totals[index[y]] for y in comparators]
+        constant = swapped = [totals[y] for y in comparators]
     else:
         constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
         swapped = []
@@ -489,27 +497,6 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
             swapped.append(math.fsum(vals))
     realized = transcript.realized_total
     return RegretReport(realized, realized - min(constant), realized - min(swapped))
-
-
-def _comparator_columns(loss_adversary, actions, comparators, horizon) -> Optional[tuple]:
-    """``(index, columns)`` with ``columns[index[y]]`` the loss's
-    ``column(y, horizon)`` for each distinct comparator y; None when the loss
-    has no ``column`` method or some played action is not a comparator
-    (unhashable actions, such as points of a ball, never are)."""
-    column = getattr(loss_adversary, "column", None)
-    if column is None:
-        return None
-    try:
-        index = {y: i for i, y in enumerate(dict.fromkeys(comparators))}
-        if not set(actions).issubset(index):
-            return None
-    except TypeError:
-        return None
-    columns = [column(y, horizon) for y in index]
-    for y, col in zip(index, columns):
-        if len(col) != horizon:
-            raise ValueError(f"column({y!r}, {horizon}) has {len(col)} entries")
-    return index, columns
 
 
 # ---------------------------------------------------------------------------

@@ -616,3 +616,19 @@ def test_column_rejects_horizons_the_loss_does_not_cover(name):
         loss.loss(41, [0] * 41)
     with pytest.raises(ValueError, match=f"^{from_loss.value}$"):
         loss.column(0, 41)
+
+
+@pytest.mark.parametrize("arm", [-1, 2, 5])
+def test_table_loss_column_rejects_arms_outside_the_table(arm):
+    loss = adv.TableLoss.from_seed(2, 40, 11)
+    with pytest.raises(ValueError, match=rf"^arm {arm} outside 0\.\.1$"):
+        loss.column(arm, 40)
+    # a constant loss prices every arm alike, so it checks none
+    assert adv.ConstantLoss(0.25).column(arm, 3) == [0.25] * 3
+
+
+@pytest.mark.parametrize("arm", [-1, 2, 7])
+def test_gap_walk_column_rejects_arms_outside_the_loss(arm):
+    loss = adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 40, master_seed=3), 2, 1, 0.1)
+    with pytest.raises(ValueError, match=rf"^arm {arm} outside 0\.\.1$"):
+        loss.column(arm, 40)

@@ -63,3 +63,20 @@ def test_bench_tracer_reaches_every_patched_name():
     assert REQUIRED_SPANS <= span_names(tracer.root)
     restored = (core.run_game, core.validate_split, cli._build_run)
     assert all(now is was for now, was in zip(restored, originals))
+
+
+def test_bench_regret_reads_columns_through_the_tracer_proxy():
+    # the tracer hands policy_regret a forwarding proxy: the oblivious
+    # pairings must still find ``column`` through it and make no loss call,
+    # while the memory-1 parity trap keeps the call-by-call replay
+    spans = load_spans()
+    horizon = 64
+    for fields in PAIRINGS:
+        tracer = spans.Tracer()
+        with spans.instrument(tracer):
+            cli.run_one(cli.ExperimentSpec(horizons=(horizon,), **fields), horizon, 0)
+        calls = tracer.summary().get(("core.policy_regret", "adversaries.loss"), [0, 0, 0])[2]
+        if fields["adversary"] == "paritytrap":
+            assert calls == (2 * 2 + 1) * horizon
+        else:
+            assert calls == 0, fields

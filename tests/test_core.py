@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import re
 from itertools import product
 
 import numpy as np
@@ -711,6 +712,47 @@ def test_row_path_equals_replay_on_oblivious_cli_pairings(adversary, delay, span
         for rep in range(3):
             tr, loss, _, _ = checks.play(spec, 150, run_seed(17, 10 * arms + rep))
             assert core.policy_regret(tr, loss) == core.policy_regret(tr, ReplayOnly(loss))
+        # subsets, duplicates and reorderings read the same columns of every arm
+        for comparators in ([arms - 1], [1, 0], [0, 1, 0, 1], list(range(arms))[::-1],
+                            [arms - 1] * 3 + [0], [np.int64(1), 0]):
+            assert (core.policy_regret(tr, loss, comparators)
+                    == core.policy_regret(tr, ReplayOnly(loss), comparators))
+
+
+def _two_arm_run(loss):
+    tr = core.run_game(make_config(5), lrn.ScriptedLearner([0, 1, 1, 0, 1]), loss,
+                       adv.NoDelay())
+    return tr, loss
+
+
+def _ball_run():
+    loss, delay, space, make_learner = _ball_case()
+    learner = make_learner(substream(run_seed(23, 0), LEARNER_STREAM))
+    return core.run_game(core.GameConfig(300, space), learner, loss, delay), loss
+
+
+#: name -> (transcript, loss) and a comparator list whose last entry lies
+#: outside the action space
+OUTSIDE_COMPARATORS = {
+    "table-negative": (lambda: _two_arm_run(adv.TableLoss.from_seed(2, 5, 1)), [0, 1, -1]),
+    "table-past-k": (lambda: _two_arm_run(adv.TableLoss.from_seed(2, 5, 1)), [0, 1, 5]),
+    "gapwalk-past-k": (lambda: _two_arm_run(adv.GapWalkLoss(
+        adv.MultiScaleWalk(0.2, 5, master_seed=3), 2, best_arm=1, gap=0.1)), [0, 1, 7]),
+    "ball": (_ball_run, [(0.0, 0.0), (0.3, -0.2), (2.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTSIDE_COMPARATORS))
+def test_comparators_outside_the_action_space_are_rejected(name):
+    make_run, comparators = OUTSIDE_COMPARATORS[name]
+    tr, loss = make_run()
+    match = rf"^comparator {re.escape(repr(comparators[-1]))} is not in the action space$"
+    inside = []
+    for path in (loss, ReplayOnly(loss)):
+        with pytest.raises(ValueError, match=match):
+            core.policy_regret(tr, path, comparators)
+        inside.append(core.policy_regret(tr, path, comparators[:-1]))
+    assert inside[0] == inside[1]
 
 
 @pytest.mark.parametrize("arms", [2, 3])
@@ -734,9 +776,10 @@ def test_row_path_makes_no_loss_calls(adversary):
     counting = ForwardingCounter(loss)
     assert core.policy_regret(tr, counting) == core.policy_regret(tr, ReplayOnly(loss))
     assert counting.calls == 0
-    # a played arm outside the comparators sends the same loss down the replay
-    core.policy_regret(tr, counting, comparators=[0])
-    assert counting.calls == 3 * 64
+    # a comparator subset reads the same columns: still no loss call
+    assert (core.policy_regret(tr, counting, comparators=[0])
+            == core.policy_regret(tr, ReplayOnly(loss), comparators=[0]))
+    assert counting.calls == 0
 
 
 @pytest.mark.parametrize("adversary", ["iid", "gapwalk"])
@@ -766,7 +809,7 @@ def test_row_path_rejects_a_horizon_beyond_the_loss(adversary):
 
 
 def test_unhashable_actions_keep_the_replay():
-    # points of a ball cannot key the columns; the same answer comes by replay
+    # a ball is not Discrete, so a loss with ``column`` is still replayed
     space = core.ConvexBall(2, 1.0, [(0.0, 0.0), (0.5, 0.0)])
     points = [np.array([0.1 * t, 0.0]) for t in range(1, 5)]
     loss = ForwardingCounter(adv.ConstantLoss(0.5))
