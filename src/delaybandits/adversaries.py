@@ -28,6 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import check_int
 from .seeding import (
     BEST_ARM_STREAM,
     LOSS_TABLE_STREAM,
@@ -60,8 +61,7 @@ def width(rule, horizon: int) -> int:
     once per cut element, so this is the multiplier on per-round
     information leakage.
     """
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    horizon = check_int("horizon", horizon, 1)
     s = np.arange(1, horizon + 1, dtype=np.int64)
     if rule is walk_parent:
         parents = s - (s & -s)
@@ -87,19 +87,17 @@ def drift_threshold(sigma: float, horizon: int, delta_prob: float) -> float:
     """
     if not sigma > 0:
         raise ValueError("sigma must be positive")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    t = float(check_int("horizon", horizon, 1))
     if not 0 < delta_prob < 1:
         raise ValueError("delta_prob must lie in (0, 1)")
-    t = float(horizon)
     return sigma * math.sqrt(2.0 * (math.log(t) + 1.0) * math.log(t / delta_prob))
 
 
-def _check_walk_args(sigma, horizon) -> None:
+def _check_walk_args(sigma, horizon) -> int:
+    """The walk's horizon as an ``int``, once sigma is finite and >= 0."""
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
+    return check_int("horizon", horizon, 1)
 
 
 def _fill_walk(sigma, xi: np.ndarray) -> np.ndarray:
@@ -133,9 +131,8 @@ def walk_value_matrix(sigma, horizon, n_walks, master_seed=0) -> np.ndarray:
     of a one-walk matrix is :class:`MultiScaleWalk`'s walk.  sigma must be
     finite, >= 0 and small enough that no value overflows.
     """
-    _check_walk_args(sigma, horizon)
-    if n_walks < 1:
-        raise ValueError("n_walks must be >= 1")
+    horizon = _check_walk_args(sigma, horizon)
+    n_walks = check_int("n_walks", n_walks, 1)
     xi = substream(master_seed, WALK_STREAM).normal(0.0, sigma, (n_walks, horizon))
     return _fill_walk(sigma, xi)
 
@@ -157,16 +154,15 @@ class MultiScaleWalk:
     """
 
     def __init__(self, sigma, horizon, master_seed=0, increments=None):
+        self.horizon = horizon = _check_walk_args(sigma, horizon)
         if increments is None:
             w = walk_value_matrix(sigma, horizon, 1, master_seed)[0]
         else:
-            _check_walk_args(sigma, horizon)
             xi = np.asarray(increments, dtype=float)
             if xi.shape != (horizon,):
                 raise ValueError(f"need {horizon} increments, got shape {xi.shape}")
             w = _fill_walk(sigma, xi)
         w.flags.writeable = False
-        self.horizon = int(horizon)
         self._values = w
 
     def values(self) -> np.ndarray:
@@ -185,10 +181,8 @@ def gap_walk_defaults(arm_count: int, horizon: int) -> tuple:
     sigma = 1 / (16 sqrt(2) ln T), natural log.  Requires horizon >= 3 so
     ln T > 1.
     """
-    if arm_count < 2:
-        raise ValueError("arm_count must be >= 2")
-    if horizon < 3:
-        raise ValueError("horizon must be >= 3")
+    arm_count = check_int("arm_count", arm_count, 2)
+    horizon = check_int("horizon", horizon, 3)
     log_t = math.log(horizon)
     gap = min(0.125, arm_count ** (1.0 / 3.0) / (64.0 * horizon ** (1.0 / 3.0) * log_t))
     sigma = 1.0 / (16.0 * math.sqrt(2.0) * log_t)
@@ -210,16 +204,16 @@ class GapWalkLoss:
     """
 
     def __init__(self, walk: MultiScaleWalk, arm_count: int, best_arm, gap: float):
-        if arm_count < 2:
-            raise ValueError("arm_count must be >= 2")
-        if best_arm is not None and not 0 <= best_arm < arm_count:
-            raise ValueError(f"best_arm {best_arm} outside 0..{arm_count - 1}")
+        self.arm_count = check_int("arm_count", arm_count, 2)
+        if best_arm is not None:
+            best_arm = check_int("best_arm", best_arm, 0)
+            if best_arm >= self.arm_count:
+                raise ValueError(f"best_arm {best_arm} outside 0..{self.arm_count - 1}")
         if not 0.0 < gap <= 0.125:
             raise ValueError(f"gap must lie in (0, 1/8], got {gap}")
         self.walk = walk
         self.horizon = walk.horizon
-        self.arm_count = int(arm_count)
-        self.best_arm = None if best_arm is None else int(best_arm)
+        self.best_arm = best_arm
         self.gap = float(gap)
         base = walk.values() + 0.75
         self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
@@ -241,7 +235,7 @@ class GapWalkLoss:
 
     def column(self, y, horizon: int) -> list:
         """Arm y's losses for rounds 1..horizon: a slice of one table."""
-        _check_column(y, self.arm_count, horizon, self.horizon)
+        horizon = _check_column(y, self.arm_count, horizon, self.horizon)
         return (self._low if y == self.best_arm else self._high)[1 : horizon + 1]
 
     def masked_baseline(self, t: int, low: bool) -> float:
@@ -345,9 +339,9 @@ class ParityTrapLoss:
     """
 
     def __init__(self, best_arm: int):
-        if best_arm not in (0, 1):
+        self.best_arm = check_int("best_arm", best_arm, 0)
+        if self.best_arm > 1:
             raise ValueError("parity trap is two-armed; best_arm must be 0 or 1")
-        self.best_arm = int(best_arm)
         self.arm_count = 2
 
     @classmethod
@@ -396,8 +390,7 @@ class ConstantLoss:
 
     def column(self, y, horizon: int) -> list:
         """Arm y's losses for rounds 1..horizon, whatever y is."""
-        _check_column(y, None, horizon, None)
-        return [self.value] * horizon
+        return [self.value] * _check_column(y, None, horizon, None)
 
 
 class TableLoss:
@@ -413,8 +406,8 @@ class TableLoss:
 
     @classmethod
     def from_seed(cls, arm_count, horizon, master_seed):
-        rng = substream(master_seed, LOSS_TABLE_STREAM)
-        return cls(rng.random((horizon, arm_count)))
+        shape = (check_int("horizon", horizon, 1), check_int("arm_count", arm_count, 2))
+        return cls(substream(master_seed, LOSS_TABLE_STREAM).random(shape))
 
     def loss(self, t: int, actions: Sequence) -> float:
         # past T the row lookup raises for free; a range test in front of
@@ -429,21 +422,21 @@ class TableLoss:
 
     def column(self, y, horizon: int) -> list:
         """Arm y's losses for rounds 1..horizon, one entry of each row."""
-        _check_column(y, self.arm_count, horizon, self.horizon)
+        horizon = _check_column(y, self.arm_count, horizon, self.horizon)
         return [row[y] for row in islice(self._rows, horizon)]
 
 
-def _check_column(y, arm_count, horizon, limit) -> None:
-    """Arm y's column covers rounds 1..horizon.  A loss with ``arm_count``
-    arms (None: any y) rejects y outside 0..arm_count - 1, and a loss
-    defined up to ``limit`` (None: every round) rejects the first round past
-    it, as ``loss`` does."""
+def _check_column(y, arm_count, horizon, limit) -> int:
+    """The ``horizon`` of arm y's column, rounds 1..horizon, as an ``int``.
+    A loss with ``arm_count`` arms (None: any y) rejects y outside
+    0..arm_count - 1, and a loss defined up to ``limit`` (None: every round)
+    rejects the first round past it, as ``loss`` does."""
     if arm_count is not None and not 0 <= y < arm_count:
         raise ValueError(f"arm {y!r} outside 0..{arm_count - 1}")
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = check_int("horizon", horizon, 1)
     if limit is not None and horizon > limit:
         raise ValueError(f"t={limit + 1} outside 1..{limit}")
+    return horizon
 
 
 class NoDelay:
@@ -459,9 +452,7 @@ class LastSlotDelay:
     """Worst-case full delay: the whole loss surfaces span - 1 rounds late."""
 
     def __init__(self, delay_span: int):
-        if delay_span < 2:
-            raise ValueError("delay_span must be >= 2 for a real delay")
-        self.delay_span = int(delay_span)
+        self.delay_span = check_int("delay_span", delay_span, 2)
         self._zeros = (0.0,) * (self.delay_span - 1)
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
@@ -473,11 +464,9 @@ class SeededSplitDelay:
     stream; exercises the buffer plumbing without any adversarial intent."""
 
     def __init__(self, delay_span: int, horizon: int, master_seed=0):
-        if delay_span < 1:
-            raise ValueError("delay_span must be >= 1")
-        self.delay_span = int(delay_span)
-        self.horizon = horizon
-        raw = substream(master_seed, SPLIT_STREAM).random((horizon, self.delay_span)) + 1e-3
+        self.delay_span = check_int("delay_span", delay_span, 1)
+        self.horizon = check_int("horizon", horizon, 1)
+        raw = substream(master_seed, SPLIT_STREAM).random((self.horizon, self.delay_span)) + 1e-3
         self._fractions = (raw / raw.sum(axis=1, keepdims=True)).tolist()
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:

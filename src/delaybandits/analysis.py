@@ -21,6 +21,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .core import check_int
+
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _AUDIT_ATOL = 1e-9
 
@@ -204,10 +206,11 @@ class ScalingFit:
 def fit_exponent(points: Sequence) -> ScalingFit:
     """Fit a power law to (horizon, value) pairs.
 
-    Requires at least three points, strictly increasing horizons, and
-    finite, strictly positive values.
+    Requires at least three points; horizons that are integers (see
+    :func:`delaybandits.core.check_int`), at least 1 and strictly
+    increasing; and finite, strictly positive values.
     """
-    pts = [(int(t), float(v)) for t, v in points]
+    pts = [(check_int("horizon", t, 1), float(v)) for t, v in points]
     if len(pts) < 3:
         raise ValueError("need at least 3 points to fit an exponent")
     for (t0, _), (t1, _) in zip(pts, pts[1:]):
@@ -300,8 +303,7 @@ def audit_delay_accounting(transcript, batch_size: int) -> DelayAudit:
     beyond the last complete batch are excluded from the per-batch checks
     but included in the aggregate one.
     """
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
+    batch_size = check_int("batch_size", batch_size, 1)
     slack = transcript.delay_span - 1
     failures = []
 

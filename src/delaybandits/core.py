@@ -62,8 +62,20 @@ class ReplayError(SimulationError):
     """Counterfactual replay did not reproduce the realized run."""
 
 
-#: component types that compare like 0 and 1 but are not numbers
+#: types that compare like 0 and 1 but are not numbers
 _BOOLS = frozenset((bool, np.bool_))
+#: loss types that compare like a number in [0, 1] but are not one
+_NOT_LOSSES = _BOOLS | {np.ndarray}
+
+
+def check_int(name: str, value, least: int) -> int:
+    """``value`` as an ``int``, if it is an ``int`` or ``numpy.integer``, not
+    a bool, and at least ``least``; otherwise ``ValueError`` names ``name``."""
+    if type(value) in _BOOLS or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value!r}")
+    return int(value)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +89,7 @@ class Discrete:
     arm_count: int
 
     def __post_init__(self):
-        if self.arm_count < 2:
-            raise ValueError(f"need at least 2 arms, got {self.arm_count}")
+        object.__setattr__(self, "arm_count", check_int("arm_count", self.arm_count, 2))
 
     def contains(self, action) -> bool:
         if type(action) is int:
@@ -103,8 +114,7 @@ class ConvexBall:
     comparator_grid: tuple = ()
 
     def __post_init__(self):
-        if self.dimension < 1:
-            raise ValueError("dimension must be positive")
+        object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
         if not self.radius > 0:
             raise ValueError("radius must be positive")
         if not self.comparator_grid:
@@ -145,8 +155,9 @@ class ConvexBall:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Immutable description of one simulated game.  The delay span is the
-    delay adversary's own (see :func:`run_game`); the seed is keyword-only."""
+    """Immutable description of one simulated game.  The horizon is an
+    integer >= 1 (see :func:`check_int`); the delay span is the delay
+    adversary's own (see :func:`run_game`); the seed is keyword-only."""
 
     horizon: int
     action_space: object
@@ -154,11 +165,7 @@ class GameConfig:
     master_seed: int = 0
 
     def __post_init__(self):
-        # numpy.bool_ is no numpy.integer; bool is an int
-        if isinstance(self.horizon, bool) or not isinstance(self.horizon, (int, np.integer)):
-            raise ValueError(f"horizon must be an integer, got {self.horizon!r}")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -354,8 +361,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     true_losses: list = []
     components: list = []
     observed_seq: list = []
-    # types that compare like a number in [0, 1] but are not one
-    rejected = frozenset((bool, np.bool_, np.ndarray))
+    rejected = _NOT_LOSSES
 
     gc_was_enabled = gc.isenabled()
     gc.disable()
@@ -533,9 +539,9 @@ def check_bounded_memory(
     the bound; passing means no witness was found in ``trials`` attempts.
     memory_bound = 0 probes obliviousness.  ``rng`` draws the histories.
     """
-    if memory_bound < 0:
-        raise ValueError("memory_bound must be >= 0")
-    window = memory_bound + 1
+    window = check_int("memory_bound", memory_bound, 0) + 1
+    horizon = check_int("horizon", horizon, 1)
+    trials = check_int("trials", trials, 0)
     if horizon <= window:
         # nothing older than the window can exist; trivially consistent
         return MemoryCheckResult(passed=True, trials=0)

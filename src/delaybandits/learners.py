@@ -16,6 +16,8 @@ from typing import Optional
 
 import numpy as np
 
+from .core import check_int
+
 #: uniforms or arms a randomized learner draws from its generator at a time
 _DRAW_BLOCK = 8192
 
@@ -56,11 +58,8 @@ class Exp3Learner:
                  "_block", "_draws", "_next_draw")
 
     def __init__(self, arm_count: int, rounds: int, rng: np.random.Generator):
-        if arm_count < 2:
-            raise ValueError("arm_count must be >= 2")
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.arm_count = arm_count
+        self.arm_count = arm_count = check_int("arm_count", arm_count, 2)
+        rounds = check_int("rounds", rounds, 1)
         self.learning_rate = math.sqrt(2.0 * math.log(arm_count) / (rounds * arm_count))
         self.cum_loss_est = [0.0] * arm_count
         self.probs = [1.0 / arm_count] * arm_count
@@ -152,14 +151,10 @@ def _min_cube_root(numerator: int, denominator: int) -> int:
 def _tau(horizon, arm_count, min_arms, arm_power, delay_guess, memory_bound) -> int:
     """ceil((T / K^arm_power)^(1/3)) in exact integer arithmetic, floored
     at delay_guess + 1 and memory_bound + 1."""
-    if horizon < 1:
-        raise ValueError("horizon must be >= 1")
-    if arm_count < min_arms:
-        raise ValueError(f"arm_count must be >= {min_arms}")
-    if delay_guess < 0 or memory_bound < 0:
-        raise ValueError("delay_guess and memory_bound must be >= 0")
-    base = _min_cube_root(horizon, arm_count ** arm_power)
-    return max(base, delay_guess + 1, memory_bound + 1)
+    base = _min_cube_root(check_int("horizon", horizon, 1),
+                          check_int("arm_count", arm_count, min_arms) ** arm_power)
+    return max(base, check_int("delay_guess", delay_guess, 0) + 1,
+               check_int("memory_bound", memory_bound, 0) + 1)
 
 
 def choose_tau(horizon: int, arm_count: int, delay_guess: int = 0, memory_bound: int = 0) -> int:
@@ -202,12 +197,9 @@ class MiniBatchWrapper:
     """
 
     def __init__(self, inner, batch_size: int, horizon: int):
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if horizon < 1:
-            raise ValueError("horizon must be >= 1")
+        self.batch_size = check_int("batch_size", batch_size, 1)
+        horizon = check_int("horizon", horizon, 1)
         self.inner = inner
-        self.batch_size = int(batch_size)
         self.completed_batches = 0
         self.current_action = None
         self.accumulator = 0.0
@@ -256,13 +248,10 @@ class FkmLearner:
                  "pending_direction", "rng")
 
     def __init__(self, dimension: int, radius: float, rounds: int, rng: np.random.Generator):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        self.dimension = dimension = check_int("dimension", dimension, 1)
         if not radius > 0:
             raise ValueError("radius must be positive")
-        if rounds < 1:
-            raise ValueError("rounds must be >= 1")
-        self.dimension = dimension
+        rounds = check_int("rounds", rounds, 1)
         self.radius = float(radius)
         self.exploration = min(0.5 * self.radius, self.radius * rounds ** -0.25)
         self.step_size = (self.radius * self.radius / dimension) * rounds ** -0.75
@@ -310,9 +299,7 @@ class UniformRandomLearner:
     """Plays arms uniformly at random; draws come in blocks for speed."""
 
     def __init__(self, arm_count: int, rng: np.random.Generator):
-        if arm_count < 2:
-            raise ValueError("arm_count must be >= 2")
-        self.arm_count = arm_count
+        self.arm_count = check_int("arm_count", arm_count, 2)
         self.rng = rng
         self._buf: list = []
         self._i = 0

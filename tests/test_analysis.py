@@ -229,6 +229,17 @@ def test_fit_exponent_validation():
             analysis.fit_exponent([(10, 1.0), (20, bad), (30, 3.0)])
 
 
+def test_fit_exponent_rejects_fractional_horizons():
+    # each horizon is checked, not truncated: 1.5 and 2.5 once fit as 1 and 2
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 1\.5$"):
+        analysis.fit_exponent([(1.5, 1.0), (2.5, 2.0), (4, 4.0)])
+    with pytest.raises(ValueError, match=r"^horizon must be an integer, got 2\.5$"):
+        analysis.fit_exponent([(1, 1.0), (2.5, 2.0), (4, 4.0)])
+    fit = analysis.fit_exponent([(np.int64(1), 1.0), (2, 2.0), (4, 4.0)])
+    assert fit.points == ((1, 1.0), (2, 2.0), (4, 4.0))
+    assert type(fit.points[0][0]) is int
+
+
 # ---------------------------------------------------------------------------
 # delay accounting audit
 

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import util
 from delaybandits import adversaries as adv
-from delaybandits import checks, cli, core
+from delaybandits import analysis, checks, cli, core
 from delaybandits import learners as lrn
 from delaybandits.seeding import LEARNER_STREAM, run_seed, substream
 
@@ -101,6 +101,161 @@ def test_game_config_validation():
             make_config(horizon)
     assert len(core.run_game(make_config(np.int64(5)), lrn.ScriptedLearner([0] * 5),
                              adv.ConstantLoss(0.5), adv.NoDelay()).actions) == 5
+
+
+# ---------------------------------------------------------------------------
+# integer parameters
+
+
+def _int_parameters() -> dict:
+    """Every integer parameter that goes through ``core.check_int``: a call
+    taking the value, the parameter's name, its least value, and where the
+    call's result keeps the value.  "result" marks a call that returns an
+    int computed from it; "none" one that keeps nothing to look at."""
+    def rng():
+        return np.random.default_rng(0)
+
+    walk = adv.MultiScaleWalk(0.1, 8, master_seed=1)
+    walk_loss = adv.GapWalkLoss(walk, 2, 0, 0.1)
+    tr = core.run_game(make_config(4), lrn.ScriptedLearner([0] * 4),
+                       adv.ConstantLoss(0.5), adv.NoDelay())
+    cases = [
+        ("Discrete", core.Discrete, "arm_count", 2, "arm_count"),
+        ("ConvexBall", lambda v: core.ConvexBall(v, 1.0, [(0.0,)]), "dimension", 1, "dimension"),
+        ("GameConfig", lambda v: core.GameConfig(v, core.Discrete(2)), "horizon", 1, "horizon"),
+        ("check_bounded_memory-memory_bound", lambda v: core.check_bounded_memory(
+            adv.ConstantLoss(0.5), v, action_space=core.Discrete(2), horizon=8, rng=rng()),
+         "memory_bound", 0, "none"),
+        ("check_bounded_memory-horizon", lambda v: core.check_bounded_memory(
+            adv.ConstantLoss(0.5), 0, action_space=core.Discrete(2), horizon=v, rng=rng()),
+         "horizon", 1, "none"),
+        ("check_bounded_memory-trials", lambda v: core.check_bounded_memory(
+            adv.ConstantLoss(0.5), 0, action_space=core.Discrete(2), horizon=8, trials=v,
+            rng=rng()),
+         "trials", 0, "none"),
+        ("width", lambda v: adv.width(adv.walk_parent, v), "horizon", 1, "result"),
+        ("drift_threshold", lambda v: adv.drift_threshold(0.1, v, 0.1), "horizon", 1, "none"),
+        ("MultiScaleWalk", lambda v: adv.MultiScaleWalk(0.1, v), "horizon", 1, "horizon"),
+        ("MultiScaleWalk-increments", lambda v: adv.MultiScaleWalk(0.1, v, increments=[0.0]),
+         "horizon", 1, "horizon"),
+        ("walk_value_matrix-horizon", lambda v: adv.walk_value_matrix(0.1, v, 1),
+         "horizon", 1, "none"),
+        ("walk_value_matrix-n_walks", lambda v: adv.walk_value_matrix(0.1, 4, v),
+         "n_walks", 1, "none"),
+        ("gap_walk_defaults-arm_count", lambda v: adv.gap_walk_defaults(v, 8),
+         "arm_count", 2, "none"),
+        ("gap_walk_defaults-horizon", lambda v: adv.gap_walk_defaults(2, v), "horizon", 3, "none"),
+        ("GapWalkLoss-arm_count", lambda v: adv.GapWalkLoss(walk, v, 0, 0.1),
+         "arm_count", 2, "arm_count"),
+        ("GapWalkLoss-best_arm", lambda v: adv.GapWalkLoss(walk, 2, v, 0.1),
+         "best_arm", 0, "best_arm"),
+        ("ParityTrapLoss", adv.ParityTrapLoss, "best_arm", 0, "best_arm"),
+        ("ConstantLoss.column", lambda v: adv.ConstantLoss(0.5).column(0, v),
+         "horizon", 1, "none"),
+        ("TableLoss.column", lambda v: adv.TableLoss.from_seed(2, 8, 1).column(0, v),
+         "horizon", 1, "none"),
+        ("TableLoss.from_seed-arm_count", lambda v: adv.TableLoss.from_seed(v, 8, 1),
+         "arm_count", 2, "arm_count"),
+        ("TableLoss.from_seed-horizon", lambda v: adv.TableLoss.from_seed(2, v, 1),
+         "horizon", 1, "horizon"),
+        ("GapWalkLoss.column", lambda v: walk_loss.column(0, v), "horizon", 1, "none"),
+        ("LastSlotDelay", adv.LastSlotDelay, "delay_span", 2, "delay_span"),
+        ("SeededSplitDelay-delay_span", lambda v: adv.SeededSplitDelay(v, 4),
+         "delay_span", 1, "delay_span"),
+        ("SeededSplitDelay-horizon", lambda v: adv.SeededSplitDelay(2, v), "horizon", 1, "horizon"),
+        ("Exp3Learner-arm_count", lambda v: lrn.Exp3Learner(v, 8, rng()),
+         "arm_count", 2, "arm_count"),
+        ("Exp3Learner-rounds", lambda v: lrn.Exp3Learner(2, v, rng()), "rounds", 1, "none"),
+        ("choose_tau-horizon", lambda v: lrn.choose_tau(v, 2), "horizon", 1, "result"),
+        ("choose_tau-arm_count", lambda v: lrn.choose_tau(64, v), "arm_count", 2, "result"),
+        ("choose_tau-delay_guess", lambda v: lrn.choose_tau(64, 2, v), "delay_guess", 0, "result"),
+        ("choose_tau-memory_bound", lambda v: lrn.choose_tau(64, 2, 0, v),
+         "memory_bound", 0, "result"),
+        ("choose_tau_bco-arm_count", lambda v: lrn.choose_tau_bco(64, v),
+         "arm_count", 1, "result"),
+        ("MiniBatchWrapper-batch_size",
+         lambda v: lrn.MiniBatchWrapper(lrn.Exp3Learner(2, 8, rng()), v, 8),
+         "batch_size", 1, "batch_size"),
+        ("MiniBatchWrapper-horizon",
+         lambda v: lrn.MiniBatchWrapper(lrn.Exp3Learner(2, 8, rng()), 2, v), "horizon", 1, "none"),
+        ("FkmLearner-dimension", lambda v: lrn.FkmLearner(v, 1.0, 8, rng()),
+         "dimension", 1, "dimension"),
+        ("FkmLearner-rounds", lambda v: lrn.FkmLearner(1, 1.0, v, rng()), "rounds", 1, "none"),
+        ("UniformRandomLearner", lambda v: lrn.UniformRandomLearner(v, rng()),
+         "arm_count", 2, "arm_count"),
+        ("audit_delay_accounting", lambda v: analysis.audit_delay_accounting(tr, v),
+         "batch_size", 1, "none"),
+        ("fit_exponent", lambda v: analysis.fit_exponent([(v, 1.0), (20, 2.0), (30, 3.0)]),
+         "horizon", 1, "points"),
+    ]
+    return {case: (call, name, least, keep) for case, call, name, least, keep in cases}
+
+
+@pytest.mark.parametrize("case", sorted(_int_parameters()))
+def test_integer_parameters_follow_one_rule(case):
+    call, name, least, keep = _int_parameters()[case]
+    for bad in (2.5, True, np.bool_(True), "3"):
+        wrong_type = f"^{name} must be an integer, got {re.escape(repr(bad))}$"
+        with pytest.raises(ValueError, match=wrong_type):
+            call(bad)
+    with pytest.raises(ValueError, match=f"^{name} must be >= {least}, got {least - 1}$"):
+        call(least - 1)
+    result = call(np.int64(least))
+    if keep == "result":
+        assert type(result) is int
+    elif keep == "points":
+        assert type(result.points[0][0]) is int and result.points[0][0] == least
+    elif keep != "none":
+        assert type(getattr(result, keep)) is int and getattr(result, keep) == least
+
+
+def _motivating_cases() -> dict:
+    """Calls that truncated a float, took a bool for an arm, or failed with
+    numpy's TypeError before every integer parameter went through one check;
+    each maps to the parameter it now names."""
+    rng = np.random.default_rng(0)
+    walk = adv.MultiScaleWalk(0.1, 8, master_seed=1)
+    tr = core.run_game(make_config(4), lrn.ScriptedLearner([0] * 4),
+                       adv.ConstantLoss(0.5), adv.NoDelay())
+    inner = lrn.Exp3Learner(2, 4, rng)
+    return {
+        "LastSlotDelay(2.9)": (lambda: adv.LastSlotDelay(2.9), "delay_span"),
+        "SeededSplitDelay(2.5, 4)": (lambda: adv.SeededSplitDelay(2.5, 4), "delay_span"),
+        "MiniBatchWrapper(inner, 2.5, 8)": (lambda: lrn.MiniBatchWrapper(inner, 2.5, 8),
+                                            "batch_size"),
+        "Discrete(2.5)": (lambda: core.Discrete(2.5), "arm_count"),
+        "UniformRandomLearner(2.5, rng)": (lambda: lrn.UniformRandomLearner(2.5, rng),
+                                           "arm_count"),
+        "choose_tau(1000.5, 2)": (lambda: lrn.choose_tau(1000.5, 2), "horizon"),
+        "ParityTrapLoss(True)": (lambda: adv.ParityTrapLoss(True), "best_arm"),
+        "ParityTrapLoss(1.0)": (lambda: adv.ParityTrapLoss(1.0), "best_arm"),
+        "ParityTrapLoss(np.bool_(True))": (lambda: adv.ParityTrapLoss(np.bool_(True)),
+                                           "best_arm"),
+        "GapWalkLoss(walk, 2, True, 0.1)": (lambda: adv.GapWalkLoss(walk, 2, True, 0.1),
+                                            "best_arm"),
+        "Exp3Learner(2, 2.5, rng)": (lambda: lrn.Exp3Learner(2, 2.5, rng), "rounds"),
+        "audit_delay_accounting(tr, 2.5)": (lambda: analysis.audit_delay_accounting(tr, 2.5),
+                                            "batch_size"),
+        "width(walk_parent, 2.5)": (lambda: adv.width(adv.walk_parent, 2.5), "horizon"),
+        "walk_value_matrix(0.1, 4.5, 1)": (lambda: adv.walk_value_matrix(0.1, 4.5, 1),
+                                           "horizon"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_motivating_cases()))
+def test_silent_coercions_now_raise(case):
+    call, name = _motivating_cases()[case]
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
+        call()
+
+
+def test_parity_trap_and_gap_walk_keep_their_arm_ranges():
+    with pytest.raises(ValueError, match="^parity trap is two-armed; best_arm must be 0 or 1$"):
+        adv.ParityTrapLoss(2)
+    walk = adv.MultiScaleWalk(0.1, 8, master_seed=1)
+    with pytest.raises(ValueError, match=r"^best_arm 2 outside 0\.\.1$"):
+        adv.GapWalkLoss(walk, 2, np.int64(2), 0.1)
+    assert adv.GapWalkLoss(walk, 2, None, 0.1).best_arm is None
 
 
 # ---------------------------------------------------------------------------

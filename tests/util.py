@@ -12,7 +12,7 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from delaybandits.core import SPLIT_ATOL, SplitError
+from delaybandits.core import SPLIT_ATOL, SplitError, check_int
 
 
 def naive_constant_regret(loss_adversary, actions, comparators):
@@ -190,9 +190,7 @@ class LaggedLoss:
     with a window narrower than ``lag`` must flag it."""
 
     def __init__(self, lag: int = 2):
-        if lag < 1:
-            raise ValueError("lag must be >= 1")
-        self.lag = int(lag)
+        self.lag = check_int("lag", lag, 1)
 
     def loss(self, t: int, actions) -> float:
         if t <= self.lag:
