@@ -28,7 +28,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_int
+from .core import check_int, check_real
 from .seeding import (
     BEST_ARM_STREAM,
     LOSS_TABLE_STREAM,
@@ -85,19 +85,10 @@ def drift_threshold(sigma: float, horizon: int, delta_prob: float) -> float:
     With probability at least 1 - delta_prob no walk value over 1..horizon
     exceeds this in absolute value.  Natural logarithms throughout.
     """
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    sigma = check_real("sigma", sigma, 0.0, math.inf, open_low=True, open_high=True)
     t = float(check_int("horizon", horizon, 1))
-    if not 0 < delta_prob < 1:
-        raise ValueError("delta_prob must lie in (0, 1)")
+    delta_prob = check_real("delta_prob", delta_prob, 0.0, 1.0, open_low=True, open_high=True)
     return sigma * math.sqrt(2.0 * (math.log(t) + 1.0) * math.log(t / delta_prob))
-
-
-def _check_walk_args(sigma, horizon) -> int:
-    """The walk's horizon as an ``int``, once sigma is finite and >= 0."""
-    if not 0 <= sigma < math.inf:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    return check_int("horizon", horizon, 1)
 
 
 def _fill_walk(sigma, xi: np.ndarray) -> np.ndarray:
@@ -131,7 +122,8 @@ def walk_value_matrix(sigma, horizon, n_walks, master_seed=0) -> np.ndarray:
     of a one-walk matrix is :class:`MultiScaleWalk`'s walk.  sigma must be
     finite, >= 0 and small enough that no value overflows.
     """
-    horizon = _check_walk_args(sigma, horizon)
+    sigma = check_real("sigma", sigma, 0.0, math.inf, open_high=True)
+    horizon = check_int("horizon", horizon, 1)
     n_walks = check_int("n_walks", n_walks, 1)
     xi = substream(master_seed, WALK_STREAM).normal(0.0, sigma, (n_walks, horizon))
     return _fill_walk(sigma, xi)
@@ -154,7 +146,8 @@ class MultiScaleWalk:
     """
 
     def __init__(self, sigma, horizon, master_seed=0, increments=None):
-        self.horizon = horizon = _check_walk_args(sigma, horizon)
+        sigma = check_real("sigma", sigma, 0.0, math.inf, open_high=True)
+        self.horizon = horizon = check_int("horizon", horizon, 1)
         if increments is None:
             w = walk_value_matrix(sigma, horizon, 1, master_seed)[0]
         else:
@@ -209,12 +202,10 @@ class GapWalkLoss:
             best_arm = check_int("best_arm", best_arm, 0)
             if best_arm >= self.arm_count:
                 raise ValueError(f"best_arm {best_arm} outside 0..{self.arm_count - 1}")
-        if not 0.0 < gap <= 0.125:
-            raise ValueError(f"gap must lie in (0, 1/8], got {gap}")
+        self.gap = check_real("gap", gap, 0.0, 0.125, open_low=True)
         self.walk = walk
         self.horizon = walk.horizon
         self.best_arm = best_arm
-        self.gap = float(gap)
         base = walk.values() + 0.75
         self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
         self._low = np.clip(base - self.gap, LOSS_FLOOR, LOSS_CEIL).tolist()
@@ -257,10 +248,8 @@ def switch_bound(gap: float, best_arm_pulls) -> float:
     Valid for gap < 1/8; the carry needs roughly 1/(4 gap) pulls of the
     funding arm per direction, giving 8 * gap * pulls / (1 - 8 gap).
     """
-    if not 0.0 < gap < 0.125:
-        raise ValueError(f"gap must lie in (0, 1/8), got {gap}")
-    if best_arm_pulls < 0:
-        raise ValueError("best_arm_pulls must be >= 0")
+    gap = check_real("gap", gap, 0.0, 0.125, open_low=True, open_high=True)
+    best_arm_pulls = check_real("best_arm_pulls", best_arm_pulls, 0.0, math.inf, open_high=True)
     return 8.0 * gap * best_arm_pulls / (1.0 - 8.0 * gap)
 
 
@@ -379,9 +368,7 @@ class ConstantLoss:
     """Every action costs the same fixed value; the dullest oblivious loss."""
 
     def __init__(self, value: float = 0.5):
-        if not 0.0 <= value <= 1.0:
-            raise ValueError("value must lie in [0, 1]")
-        self.value = float(value)
+        self.value = check_real("value", value, 0.0, 1.0)
 
     def loss(self, t: int, actions: Sequence) -> float:
         if t < 1:

@@ -21,7 +21,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import check_int
+from .core import check_int, check_real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _AUDIT_ATOL = 1e-9
@@ -45,8 +45,11 @@ class CensoredGaussian:
     upper: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        for name, low in (("mu", -math.inf), ("sigma", 0.0), ("lower", -math.inf),
+                          ("upper", -math.inf)):
+            value = check_real(name, getattr(self, name), low, math.inf,
+                               open_low=True, open_high=True)
+            object.__setattr__(self, name, value)
         if not self.lower < self.upper:
             raise ValueError("need lower < upper")
 
@@ -130,17 +133,16 @@ def censored_kl(p: CensoredGaussian, q: CensoredGaussian) -> float:
 
 def gaussian_kl(mu_p: float, mu_q: float, sigma: float) -> float:
     """KL between the uncensored Gaussians; censoring only shrinks it."""
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
+    mu_p = check_real("mu_p", mu_p, -math.inf, math.inf, open_low=True, open_high=True)
+    mu_q = check_real("mu_q", mu_q, -math.inf, math.inf, open_low=True, open_high=True)
+    sigma = check_real("sigma", sigma, 0.0, math.inf, open_low=True, open_high=True)
     d = mu_p - mu_q
     return d * d / (2.0 * sigma * sigma)
 
 
 def pinsker_tv(kl: float) -> float:
     """Total-variation bound sqrt(kl / 2)."""
-    if kl < 0:
-        raise ValueError("kl must be >= 0")
-    return math.sqrt(0.5 * kl)
+    return math.sqrt(0.5 * check_real("kl", kl, 0.0, math.inf))
 
 
 def observation_tv_bound(gap, sigma, width_value, best_arm_pulls) -> float:
@@ -152,12 +154,10 @@ def observation_tv_bound(gap, sigma, width_value, best_arm_pulls) -> float:
     switch leaks at most a gap-sized mean shift through ``width`` parent
     links, and switches are budgeted by the carry dynamics.
     """
-    if not 0.0 < gap < 0.125:
-        raise ValueError(f"gap must lie in (0, 1/8), got {gap}")
-    if not sigma > 0:
-        raise ValueError("sigma must be positive")
-    if width_value < 0 or best_arm_pulls < 0:
-        raise ValueError("width and pulls must be >= 0")
+    gap = check_real("gap", gap, 0.0, 0.125, open_low=True, open_high=True)
+    sigma = check_real("sigma", sigma, 0.0, math.inf, open_low=True, open_high=True)
+    width_value = check_real("width_value", width_value, 0.0, math.inf, open_high=True)
+    best_arm_pulls = check_real("best_arm_pulls", best_arm_pulls, 0.0, math.inf, open_high=True)
     inner = 2.0 * width_value * gap * best_arm_pulls / (1.0 - 8.0 * gap)
     return (gap / sigma) * math.sqrt(inner)
 
@@ -175,8 +175,7 @@ def marginal_tv(samples_p: np.ndarray, samples_q: np.ndarray, bin_width: float) 
     q = np.asarray(samples_q, dtype=float)
     if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
         raise ValueError("need two (n, T) sample arrays with matching T")
-    if not bin_width > 0:
-        raise ValueError("bin_width must be positive")
+    bin_width = check_real("bin_width", bin_width, 0.0, math.inf, open_low=True, open_high=True)
     worst = 0.0
     for col in range(p.shape[1]):
         lo = min(p[:, col].min(), q[:, col].min())

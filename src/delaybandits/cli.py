@@ -65,10 +65,11 @@ class UsageError(Exception):
 # experiment specification
 
 
-#: the spec's integer fields, each with the flag that sets it
-_INT_FIELDS = (("arm_count", "--K"), ("delay_span", "--d"), ("memory_bound", "--m"),
-               ("batch_size", "--tau"), ("repetitions", "--seeds"),
-               ("seed_base", "--seed-base"), ("workers", "--workers"))
+#: the spec's integer fields, each with the flag that sets it and its least
+#: value (None: unbounded; ``run_seed`` masks a negative seed base)
+_INT_FIELDS = (("arm_count", "--K", 2), ("delay_span", "--d", 0), ("memory_bound", "--m", 0),
+               ("batch_size", "--tau", 0), ("repetitions", "--seeds", 1),
+               ("seed_base", "--seed-base", None), ("workers", "--workers", 1))
 
 
 @dataclass(frozen=True)
@@ -100,23 +101,15 @@ class ExperimentSpec:
             raise UsageError(f"--T must be given as a tuple of horizons, got {self.horizons!r}")
         if not self.horizons:
             raise UsageError("need at least one horizon (--T)")
-        given = [("--T", t) for t in self.horizons]
-        given += [(flag, getattr(self, name)) for name, flag in _INT_FIELDS]
-        for flag, value in given:
+        given = [("--T", t, 1) for t in self.horizons]
+        given += [(flag, getattr(self, name), least) for name, flag, least in _INT_FIELDS]
+        for flag, value, least in given:
             if isinstance(value, bool) or not isinstance(value, int):
                 raise UsageError(f"{flag} must be an integer, got {value!r}")
-        if any(t < 1 for t in self.horizons):
-            raise UsageError("horizons must be >= 1")
+            if least is not None and value < least:
+                raise UsageError(f"{flag} must be >= {least}, got {value!r}")
         if len(set(self.horizons)) != len(self.horizons):
             raise UsageError("horizons must be distinct")
-        if self.arm_count < 2:
-            raise UsageError("--K must be >= 2")
-        if self.repetitions < 1:
-            raise UsageError("--seeds must be >= 1")
-        if self.workers < 1:
-            raise UsageError("--workers must be >= 1")
-        if self.batch_size < 0 or self.delay_span < 0 or self.memory_bound < 0:
-            raise UsageError("--tau, --d and --m must be >= 0")
         if self.adversary == "paritytrap" and self.arm_count != 2:
             raise UsageError("the parity trap is two-armed; use --K 2")
         if self.delay == "statemachine" and self.adversary != "gapwalk":

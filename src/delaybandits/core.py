@@ -78,6 +78,26 @@ def check_int(name: str, value, least: int) -> int:
     return int(value)
 
 
+def check_real(name: str, value, low: float, high: float, *,
+               open_low: bool = False, open_high: bool = False) -> float:
+    """``value`` as a ``float``, if it is an ``int``, ``float``, numpy
+    integer or numpy float, not a bool, and lies between ``low`` and
+    ``high``; each end is closed unless its flag opens it.  NaN is never in
+    range, and an infinity only at a closed infinite end.  Otherwise
+    ``ValueError`` names ``name``."""
+    if type(value) in _BOOLS or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:  # an int beyond every float
+        x = math.nan
+    if not ((low < x if open_low else low <= x) and (x < high if open_high else x <= high)):
+        left, right = "(" if open_low else "[", ")" if open_high else "]"
+        raise ValueError(f"{name} must lie in {left}{float(low)!r}, {float(high)!r}{right}, "
+                         f"got {value!r}")
+    return x
+
+
 # ---------------------------------------------------------------------------
 # action spaces
 
@@ -115,8 +135,8 @@ class ConvexBall:
 
     def __post_init__(self):
         object.__setattr__(self, "dimension", check_int("dimension", self.dimension, 1))
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
+        object.__setattr__(self, "radius", check_real("radius", self.radius, 0.0, math.inf,
+                                                      open_low=True, open_high=True))
         if not self.comparator_grid:
             raise ValueError("comparator_grid must not be empty")
         grid = tuple(tuple(float(x) for x in p) for p in self.comparator_grid)

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import check_int
+from .core import check_int, check_real
 
 #: uniforms or arms a randomized learner draws from its generator at a time
 _DRAW_BLOCK = 8192
@@ -249,10 +249,8 @@ class FkmLearner:
 
     def __init__(self, dimension: int, radius: float, rounds: int, rng: np.random.Generator):
         self.dimension = dimension = check_int("dimension", dimension, 1)
-        if not radius > 0:
-            raise ValueError("radius must be positive")
+        self.radius = check_real("radius", radius, 0.0, math.inf, open_low=True, open_high=True)
         rounds = check_int("rounds", rounds, 1)
-        self.radius = float(radius)
         self.exploration = min(0.5 * self.radius, self.radius * rounds ** -0.25)
         self.step_size = (self.radius * self.radius / dimension) * rounds ** -0.75
         self.point = np.zeros(dimension)

@@ -147,14 +147,14 @@ class TestUsageErrors:
         (dict(delay="full"), f"unknown delay 'full'; choose from {cli.DELAYS}"),
         (dict(learner="exp4"), f"unknown learner 'exp4'; choose from {cli.LEARNERS}"),
         (dict(horizons=()), "need at least one horizon (--T)"),
-        (dict(horizons=(64, 0)), "horizons must be >= 1"),
+        (dict(horizons=(64, 0)), "--T must be >= 1, got 0"),
         (dict(horizons=(64, 128, 64)), "horizons must be distinct"),
-        (dict(arm_count=1), "--K must be >= 2"),
-        (dict(repetitions=0), "--seeds must be >= 1"),
-        (dict(workers=0), "--workers must be >= 1"),
-        (dict(batch_size=-1), "--tau, --d and --m must be >= 0"),
-        (dict(delay="lastslot", delay_span=-2), "--tau, --d and --m must be >= 0"),
-        (dict(memory_bound=-1), "--tau, --d and --m must be >= 0"),
+        (dict(arm_count=1), "--K must be >= 2, got 1"),
+        (dict(repetitions=0), "--seeds must be >= 1, got 0"),
+        (dict(workers=0), "--workers must be >= 1, got 0"),
+        (dict(batch_size=-1), "--tau must be >= 0, got -1"),
+        (dict(delay="lastslot", delay_span=-2), "--d must be >= 0, got -2"),
+        (dict(memory_bound=-1), "--m must be >= 0, got -1"),
         (dict(adversary="iid", delay="parity"), "--delay parity requires --adversary paritytrap"),
         (dict(horizons=(2,)), "gapwalk default schedules need T >= 3"),
     ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot",
@@ -182,6 +182,14 @@ class TestUsageErrors:
         with pytest.raises(cli.UsageError) as info:
             cli.ExperimentSpec(**given)
         assert str(info.value) == message
+
+    def test_spec_takes_each_least_value_and_any_seed_base(self):
+        # the least value of each range passes; the seed base has no floor,
+        # since run_seed masks a negative one
+        spec = cli.ExperimentSpec(adversary="iid", delay="none", horizons=(1,), arm_count=2,
+                                  memory_bound=0, batch_size=0, repetitions=1, workers=1,
+                                  seed_base=-5)
+        assert (spec.horizons, spec.seed_base) == ((1,), -5)
 
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):
         # the masking and parity delays fix their own span of 2

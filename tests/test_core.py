@@ -1,8 +1,10 @@
 """Game loop, feedback buffer, regret accounting, memory probe."""
 
+import ast
 import dataclasses
 import gc
 import math
+import pathlib
 import re
 from itertools import product
 
@@ -247,6 +249,181 @@ def test_silent_coercions_now_raise(case):
     call, name = _motivating_cases()[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call()
+
+
+# ---------------------------------------------------------------------------
+# real parameters
+
+
+def _real_parameters() -> dict:
+    """Every real parameter that goes through ``core.check_real``: a call
+    taking the value, the parameter's name, its interval as the message
+    prints it, an in-range float, an in-range int (None when the interval
+    holds none), and where the call's result keeps the value.  "result"
+    marks a call that returns a float computed from it; "none" one that
+    keeps nothing to look at."""
+    def rng():
+        return np.random.default_rng(0)
+
+    walk = adv.MultiScaleWalk(0.1, 8, master_seed=1)
+    samples = np.arange(6.0).reshape(3, 2)
+    cases = [
+        ("ConvexBall", lambda v: core.ConvexBall(2, v, [(0.0, 0.0)]),
+         "radius", "(0.0, inf)", 1.5, 2, "radius"),
+        ("FkmLearner", lambda v: lrn.FkmLearner(2, v, 8, rng()),
+         "radius", "(0.0, inf)", 1.5, 2, "radius"),
+        ("drift_threshold-sigma", lambda v: adv.drift_threshold(v, 8, 0.1),
+         "sigma", "(0.0, inf)", 0.1, 1, "result"),
+        ("drift_threshold-delta_prob", lambda v: adv.drift_threshold(0.1, 8, v),
+         "delta_prob", "(0.0, 1.0)", 0.1, None, "result"),
+        ("MultiScaleWalk", lambda v: adv.MultiScaleWalk(v, 8), "sigma", "[0.0, inf)", 0.1, 0,
+         "none"),
+        ("MultiScaleWalk-increments", lambda v: adv.MultiScaleWalk(v, 1, increments=[0.0]),
+         "sigma", "[0.0, inf)", 0.1, 0, "none"),
+        ("walk_value_matrix", lambda v: adv.walk_value_matrix(v, 8, 2),
+         "sigma", "[0.0, inf)", 0.1, 0, "none"),
+        ("GapWalkLoss", lambda v: adv.GapWalkLoss(walk, 2, 0, v),
+         "gap", "(0.0, 0.125]", 0.1, None, "gap"),
+        ("switch_bound-gap", lambda v: adv.switch_bound(v, 10),
+         "gap", "(0.0, 0.125)", 0.1, None, "result"),
+        ("switch_bound-best_arm_pulls", lambda v: adv.switch_bound(0.1, v),
+         "best_arm_pulls", "[0.0, inf)", 2.5, 3, "result"),
+        ("ConstantLoss", adv.ConstantLoss, "value", "[0.0, 1.0]", 0.25, 1, "value"),
+        ("CensoredGaussian-mu", lambda v: analysis.CensoredGaussian(v, 0.1),
+         "mu", "(-inf, inf)", 0.7, 1, "mu"),
+        ("CensoredGaussian-sigma", lambda v: analysis.CensoredGaussian(0.7, v),
+         "sigma", "(0.0, inf)", 0.1, 1, "sigma"),
+        ("CensoredGaussian-lower", lambda v: analysis.CensoredGaussian(0.7, 0.1, v, 2.0),
+         "lower", "(-inf, inf)", 0.5, 0, "lower"),
+        ("CensoredGaussian-upper", lambda v: analysis.CensoredGaussian(0.7, 0.1, 0.0, v),
+         "upper", "(-inf, inf)", 1.5, 1, "upper"),
+        ("gaussian_kl-mu_p", lambda v: analysis.gaussian_kl(v, 0.2, 0.1),
+         "mu_p", "(-inf, inf)", 0.3, 1, "result"),
+        ("gaussian_kl-mu_q", lambda v: analysis.gaussian_kl(0.2, v, 0.1),
+         "mu_q", "(-inf, inf)", 0.3, 1, "result"),
+        ("gaussian_kl-sigma", lambda v: analysis.gaussian_kl(0.2, 0.3, v),
+         "sigma", "(0.0, inf)", 0.1, 1, "result"),
+        ("pinsker_tv", analysis.pinsker_tv, "kl", "[0.0, inf]", 0.5, 2, "result"),
+        ("observation_tv_bound-gap", lambda v: analysis.observation_tv_bound(v, 0.05, 2, 10),
+         "gap", "(0.0, 0.125)", 0.1, None, "result"),
+        ("observation_tv_bound-sigma", lambda v: analysis.observation_tv_bound(0.1, v, 2, 10),
+         "sigma", "(0.0, inf)", 0.05, 1, "result"),
+        ("observation_tv_bound-width_value",
+         lambda v: analysis.observation_tv_bound(0.1, 0.05, v, 10),
+         "width_value", "[0.0, inf)", 2.5, 2, "result"),
+        ("observation_tv_bound-best_arm_pulls",
+         lambda v: analysis.observation_tv_bound(0.1, 0.05, 2, v),
+         "best_arm_pulls", "[0.0, inf)", 10.5, 10, "result"),
+        ("marginal_tv", lambda v: analysis.marginal_tv(samples, samples + 0.5, v),
+         "bin_width", "(0.0, inf)", 0.75, 1, "result"),
+    ]
+    return {case: rest for case, *rest in cases}
+
+
+@pytest.mark.parametrize("case", sorted(_real_parameters()))
+def test_real_parameters_follow_one_rule(case):
+    call, name, interval, good, good_int, keep = _real_parameters()[case]
+    for bad in (True, np.bool_(True), "1", None):
+        with pytest.raises(ValueError,
+                           match=f"^{name} must be a real number, got {re.escape(repr(bad))}$"):
+            call(bad)
+    low, high = map(float, interval[1:-1].split(", "))
+    open_low, open_high = interval[0] == "(", interval[-1] == ")"
+    outside = [math.nan, 10 ** 400]  # an int beyond every float is in no interval
+    if math.isfinite(low):
+        outside.append(low if open_low else float(np.nextafter(low, -math.inf)))
+    if math.isfinite(high):
+        outside.append(high if open_high else float(np.nextafter(high, math.inf)))
+    if open_high or math.isfinite(high):
+        outside.append(math.inf)
+    else:
+        call(math.inf)  # a closed infinite end takes infinity
+    outside.append(-math.inf)
+    for bad in outside:
+        with pytest.raises(ValueError, match=re.escape(f"{name} must lie in {interval}, got "
+                                                       f"{bad!r}") + "$"):
+            call(bad)
+    as_float = call(good)
+    for value in (np.float64(good), good_int):
+        if value is None:
+            continue
+        result = call(value)
+        if keep == "result":
+            assert type(result) is float
+            if value == good:
+                assert result == as_float
+        elif keep != "none":
+            assert type(getattr(result, keep)) is float and getattr(result, keep) == value
+
+
+def _real_motivating_cases() -> dict:
+    """Calls that took a bool for a number, let NaN or infinity through, or
+    failed with a bare ``TypeError`` (or inside scipy or numpy) before every
+    real parameter went through one check; each maps to the parameter it now
+    names."""
+    rng = np.random.default_rng(0)
+    nan, inf = math.nan, math.inf
+    samples = np.arange(6.0).reshape(3, 2)
+    cg = analysis.CensoredGaussian
+    return {
+        "ConstantLoss(True)": (lambda: adv.ConstantLoss(True), "value"),
+        "ConvexBall(2, True, [(0, 0)])": (lambda: core.ConvexBall(2, True, [(0, 0)]), "radius"),
+        "CensoredGaussian(0.5, np.bool_(True))": (lambda: cg(0.5, np.bool_(True)), "sigma"),
+        "drift_threshold(True, 8, 0.1)": (lambda: adv.drift_threshold(True, 8, 0.1), "sigma"),
+        "switch_bound(0.1, True)": (lambda: adv.switch_bound(0.1, True), "best_arm_pulls"),
+        "observation_tv_bound(0.1, 0.05, True, True)": (
+            lambda: analysis.observation_tv_bound(0.1, 0.05, True, True), "width_value"),
+        "gaussian_kl(0.1, 0.2, True)": (lambda: analysis.gaussian_kl(0.1, 0.2, True), "sigma"),
+        "MultiScaleWalk(True, 8)": (lambda: adv.MultiScaleWalk(True, 8), "sigma"),
+        "switch_bound(0.1, nan)": (lambda: adv.switch_bound(0.1, nan), "best_arm_pulls"),
+        "observation_tv_bound(0.1, 0.05, 1, nan)": (
+            lambda: analysis.observation_tv_bound(0.1, 0.05, 1, nan), "best_arm_pulls"),
+        "pinsker_tv(nan)": (lambda: analysis.pinsker_tv(nan), "kl"),
+        "CensoredGaussian(nan, 0.1)": (lambda: cg(nan, 0.1), "mu"),
+        "FkmLearner(2, inf, 8, rng)": (lambda: lrn.FkmLearner(2, inf, 8, rng), "radius"),
+        "ConvexBall(2, inf, [(0, 0)])": (lambda: core.ConvexBall(2, inf, [(0, 0)]), "radius"),
+        "CensoredGaussian(0.5, 0.1, -inf, inf)": (lambda: cg(0.5, 0.1, -inf, inf), "lower"),
+        "pinsker_tv('a')": (lambda: analysis.pinsker_tv("a"), "kl"),
+        "gaussian_kl(0.1, 0.2, 'x')": (lambda: analysis.gaussian_kl(0.1, 0.2, "x"), "sigma"),
+        "ConvexBall(2, '1', [(0, 0)])": (lambda: core.ConvexBall(2, "1", [(0, 0)]), "radius"),
+        "marginal_tv(p, q, inf)": (lambda: analysis.marginal_tv(samples, samples, inf),
+                                   "bin_width"),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_real_motivating_cases()))
+def test_bools_nans_and_infinities_now_raise(case):
+    call, name = _real_motivating_cases()[case]
+    with pytest.raises(ValueError, match=f"^{name} must (be a real number|lie in [\\[(]).*, got "):
+        call()
+
+
+#: messages of checks on data or on CLI flags, not on library parameters:
+#: a fit's values and ``analyze --bootstrap``
+_DATA_AND_FLAG_MESSAGES = {"values must be finite and strictly positive for a log-log fit",
+                           "--bootstrap must be >= 0 (0 = no interval)"}
+
+
+def test_no_ad_hoc_parameter_checks():
+    """No string in the package's code, docstrings aside, spells out a
+    parameter range on its own: those phrases belong to ``check_int`` and
+    ``check_real``."""
+    retired = ("must be positive", "must be finite", "must be >= 0", "must lie in (",
+               "must lie in [")
+    found = []
+    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+                and fn.name in ("check_int", "check_real") for node in ast.walk(fn)}
+        skip.update(id(scope.body[0].value) for scope in ast.walk(tree)
+                    if isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                    and ast.get_docstring(scope) is not None)
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and id(node) not in skip and node.value not in _DATA_AND_FLAG_MESSAGES
+                    and any(phrase in node.value for phrase in retired)):
+                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    assert found == []
 
 
 def test_parity_trap_and_gap_walk_keep_their_arm_ranges():
