@@ -23,7 +23,8 @@ the carry dynamics.
 from __future__ import annotations
 
 import math
-from itertools import islice
+from itertools import islice, repeat
+from operator import getitem
 from typing import Sequence
 
 import numpy as np
@@ -164,6 +165,33 @@ class MultiScaleWalk:
 
 
 # ---------------------------------------------------------------------------
+# per-arm totals for regret accounting
+
+
+class _ColumnTotals:
+    """``arm_totals`` for an oblivious loss with ``column(y, T)``, arm y's
+    losses l_1(y)..l_T(y).
+
+    The played losses are read off the columns by action, and each arm's
+    constant and one-swap totals are the same ``math.fsum`` of its column,
+    the correctly rounded sum of the floats the replay would add.
+    """
+
+    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
+        """(played losses, constant total per arm, one-swap total per arm)
+        of the history ``actions`` for arms 0..arm_count - 1."""
+        horizon = len(actions)
+        columns = [self.column(y, horizon) for y in range(arm_count)]
+        for y, col in enumerate(columns):
+            if len(col) != horizon:
+                raise ValueError(f"column({y}, {horizon}) has {len(col)} entries")
+        # zip(*columns) yields round t's loss for every arm; the action picks one
+        replayed = tuple(map(getitem, zip(*columns), actions))
+        totals = [math.fsum(col) for col in columns]
+        return replayed, totals, totals
+
+
+# ---------------------------------------------------------------------------
 # hidden-gap walk loss and its masking delay machine
 
 
@@ -182,7 +210,7 @@ def gap_walk_defaults(arm_count: int, horizon: int) -> tuple:
     return gap, sigma
 
 
-class GapWalkLoss:
+class GapWalkLoss(_ColumnTotals):
     """Oblivious loss: every arm pays the truncated walk baseline, the
     hidden best arm pays ``gap`` less (before truncation).
 
@@ -347,6 +375,31 @@ class ParityTrapLoss:
             raise ValueError(f"t={t} outside 1..T")
         return 1.0 if actions[t - 2] == self.best_arm else 0.0
 
+    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
+        """(played losses, constant total per arm, one-swap total per arm)
+        of the history ``actions`` for arms 0..arm_count - 1, by counting.
+
+        Every loss is 0.0 or 1.0, so each total is an exact count, equal
+        to the ``math.fsum`` of the losses it counts.  On a constant history
+        every odd-even pair costs 1 and an unpaired last round costs 1 off
+        the hidden arm.  With round t swapped, an odd round costs 1 off the
+        hidden arm and an even round repays the realized hit before it.
+        An arm past the second is priced like the arm that is not hidden.
+        """
+        horizon = len(actions)
+        paired = horizon // 2
+        best = self.best_arm
+        odd_actions = actions[::2]
+        replayed = [0.0] * horizon
+        replayed[::2] = map({best: 0.0}.get, odd_actions, repeat(1.0))
+        hits = list(map({best: 1.0}.get, odd_actions[:paired], repeat(0.0)))
+        replayed[1::2] = hits
+        repaid = hits.count(1.0)
+        odd = horizon - paired
+        constant = [float(paired + (horizon & 1) * (y != best)) for y in range(arm_count)]
+        swapped = [float(odd * (y != best) + repaid) for y in range(arm_count)]
+        return tuple(replayed), constant, swapped
+
 
 class ParityDelay:
     """Delay half of :class:`ParityTrapLoss`: odd rounds hold everything
@@ -364,7 +417,7 @@ class ParityDelay:
 # utility adversaries
 
 
-class ConstantLoss:
+class ConstantLoss(_ColumnTotals):
     """Every action costs the same fixed value; the dullest oblivious loss."""
 
     def __init__(self, value: float = 0.5):
@@ -380,7 +433,7 @@ class ConstantLoss:
         return [self.value] * _check_column(y, None, horizon, None)
 
 
-class TableLoss:
+class TableLoss(_ColumnTotals):
     """Oblivious i.i.d. loss table: independent uniform [0, 1) per round
     and arm, materialized up front from a seed stream."""
 

@@ -176,11 +176,18 @@ def marginal_tv(samples_p: np.ndarray, samples_q: np.ndarray, bin_width: float) 
     if p.ndim != 2 or q.ndim != 2 or p.shape[1] != q.shape[1]:
         raise ValueError("need two (n, T) sample arrays with matching T")
     bin_width = check_real("bin_width", bin_width, 0.0, math.inf, open_low=True, open_high=True)
+    for name, x in (("samples_p", p), ("samples_q", q)):
+        bad = x[~np.isfinite(x)]
+        if bad.size:
+            raise ValueError(f"{name} holds a non-finite sample, {float(bad[0])!r}")
     worst = 0.0
     for col in range(p.shape[1]):
-        lo = min(p[:, col].min(), q[:, col].min())
-        hi = max(p[:, col].max(), q[:, col].max())
-        edges = np.arange(lo, hi + 2 * bin_width, bin_width)
+        lo = float(min(p[:, col].min(), q[:, col].min()))
+        hi = float(max(p[:, col].max(), q[:, col].max()))
+        stop = hi + 2 * bin_width
+        if not math.isfinite((stop - lo) / bin_width):
+            raise ValueError(f"bin count over [{lo!r}, {hi!r}] at width {bin_width!r} overflows")
+        edges = np.arange(lo, stop, bin_width)
         hp, _ = np.histogram(p[:, col], bins=edges)
         hq, _ = np.histogram(q[:, col], bins=edges)
         tv = 0.5 * np.abs(hp / len(p) - hq / len(q)).sum()

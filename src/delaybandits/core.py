@@ -13,10 +13,12 @@ Protocol per round t = 1..T:
 The learner never sees per-round losses, only the anonymous aggregates.
 Regret is accounted against the true losses by counterfactual replay: one
 call, :func:`policy_regret`, returns both the policy and the pseudo regret
-of a transcript, reading an oblivious loss's per-arm columns where it has
-them.  That is why adversaries must realize all randomness from
+of a transcript.  That is why adversaries must realize all randomness from
 counter-style seed streams (see :mod:`delaybandits.seeding`): a replayed
-history re-reads the same random values the live run used.
+history re-reads the same random values the live run used.  A loss with
+one optional method, ``arm_totals(actions, K)``, prices every arm at once
+instead of being called round by round: the oblivious losses sum each
+arm's column, and the parity trap counts its 0/1 losses.
 
 Loss adversaries are called as ``loss(t, actions)`` where ``actions`` is a
 sequence with at least t entries whose first t entries are the history
@@ -32,7 +34,6 @@ import gc
 import math
 from dataclasses import KW_ONLY, dataclass
 from itertools import repeat
-from operator import getitem
 from typing import Optional
 
 import numpy as np
@@ -143,7 +144,7 @@ class ConvexBall:
         for p in grid:
             if len(p) != self.dimension:
                 raise ValueError(f"comparator point {p} has wrong dimension")
-            if math.sqrt(sum(x * x for x in p)) > self.radius + 1e-9:
+            if not math.sqrt(sum(x * x for x in p)) <= self.radius + 1e-9:  # NaN too
                 raise ValueError(f"comparator point {p} lies outside the ball")
         object.__setattr__(self, "comparator_grid", grid)
 
@@ -462,15 +463,14 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     (memoryless) adversaries both equal standard external regret.  Every
     total is a ``math.fsum``.
 
-    Row path: when the loss has a ``column(y, T)`` method, which returns arm
-    y's losses l_1(y)..l_T(y) of an oblivious loss, and the action space is
-    :class:`Discrete`, no ``loss`` call is made.  Every arm's column is
-    read, the played entries are checked against the recorded losses, and
-    both totals of y are one fsum of y's column: the same correctly rounded
-    sum of the same floats as the replay's.  The stock oblivious losses
-    (``ConstantLoss``, ``TableLoss``, ``GapWalkLoss``) have the method; any
-    other loss, or a point of a :class:`ConvexBall`, is replayed call by
-    call.
+    Per-arm totals: when the action space is :class:`Discrete` and the loss
+    has ``arm_totals(actions, K)``, no ``loss`` call is made.  The method
+    returns the played history's losses, which are checked against the
+    recorded ones, and each arm's constant and one-swap totals, equal to
+    the replay's sums.  The oblivious losses (``ConstantLoss``,
+    ``TableLoss``, ``GapWalkLoss``) sum each arm's column, and
+    ``ParityTrapLoss`` counts.  Any other loss, or a point of a
+    :class:`ConvexBall`, is replayed call by call.
     """
     space = transcript.config.action_space
     comparators = space.comparators() if comparators is None else list(comparators)
@@ -484,15 +484,10 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     actions = transcript.actions
     rounds = range(1, T + 1)
     losses = transcript.true_losses
-    column = getattr(loss_adversary, "column", None)
-    rows = column is not None and isinstance(space, Discrete)
-    if rows:
-        columns = [column(y, T) for y in range(space.arm_count)]
-        for y, col in enumerate(columns):
-            if len(col) != T:
-                raise ValueError(f"column({y}, {T}) has {len(col)} entries")
-        # zip(*columns) yields round t's loss for every arm; the action picks one
-        replayed = tuple(map(getitem, zip(*columns), actions))
+    arm_totals = getattr(loss_adversary, "arm_totals", None)
+    by_arm = arm_totals is not None and isinstance(space, Discrete)
+    if by_arm:
+        replayed, constant, swapped = arm_totals(actions, space.arm_count)
     else:
         loss_fn = loss_adversary.loss
         replayed = tuple(map(loss_fn, rounds, repeat(list(actions), T)))
@@ -504,9 +499,9 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
                     f"{recorded!r}; adversary randomness is not replay-stable"
                 )
 
-    if rows:
-        totals = [math.fsum(col) for col in columns]
-        constant = swapped = [totals[y] for y in comparators]
+    if by_arm:
+        constant = [constant[y] for y in comparators]
+        swapped = [swapped[y] for y in comparators]
     else:
         constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
         swapped = []

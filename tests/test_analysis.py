@@ -1,6 +1,7 @@
 """Censored-Gaussian KL, total-variation budgets, scaling fits, audits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -161,6 +162,20 @@ def test_marginal_tv_validation():
         analysis.marginal_tv(x, np.zeros((10, 3)), 0.1)
     with pytest.raises(ValueError):
         analysis.marginal_tv(x, x, 0.0)
+
+
+@pytest.mark.parametrize("p,q,width,match", [
+    ([[math.inf]], [[0.0]], 0.1, r"^samples_p holds a non-finite sample, inf$"),
+    ([[0.0]], [[math.nan]], 0.1, r"^samples_q holds a non-finite sample, nan$"),
+    ([[0.0]], [[1e300]], 1e-300,
+     r"^bin count over \[0\.0, 1e\+300\] at width 1e-300 overflows$"),
+    ([[-1e308]], [[1e308]], 1.0, r"^bin count over .* overflows$"),
+], ids=["inf-sample", "nan-sample", "width-tiny-next-to-range", "range-overflows"])
+def test_marginal_tv_names_bad_samples_and_overflowing_bins(p, q, width, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            analysis.marginal_tv(p, q, width)
 
 
 def test_masked_streams_stay_within_analytic_budget():

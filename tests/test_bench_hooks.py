@@ -65,10 +65,10 @@ def test_bench_tracer_reaches_every_patched_name():
     assert all(now is was for now, was in zip(restored, originals))
 
 
-def test_bench_regret_reads_columns_through_the_tracer_proxy():
-    # the tracer hands policy_regret a forwarding proxy: the oblivious
-    # pairings must still find ``column`` through it and make no loss call,
-    # while the memory-1 parity trap keeps the call-by-call replay
+def test_bench_regret_makes_no_loss_calls_through_the_tracer_proxy():
+    # the tracer hands policy_regret a forwarding proxy: every pairing, the
+    # memory-1 parity trap included, must still find ``arm_totals`` through
+    # it and make no loss call
     spans = load_spans()
     horizon = 64
     for fields in PAIRINGS:
@@ -76,7 +76,4 @@ def test_bench_regret_reads_columns_through_the_tracer_proxy():
         with spans.instrument(tracer):
             cli.run_one(cli.ExperimentSpec(horizons=(horizon,), **fields), horizon, 0)
         calls = tracer.summary().get(("core.policy_regret", "adversaries.loss"), [0, 0, 0])[2]
-        if fields["adversary"] == "paritytrap":
-            assert calls == (2 * 2 + 1) * horizon
-        else:
-            assert calls == 0, fields
+        assert calls == 0, fields

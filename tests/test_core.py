@@ -85,6 +85,12 @@ class TestConvexBall:
         with pytest.raises(ValueError):
             core.ConvexBall(2, 1.0, [])
 
+    @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
+    def test_grid_rejects_non_finite_points(self, point):
+        match = rf"^comparator point {re.escape(repr(point))} lies outside the ball$"
+        with pytest.raises(ValueError, match=match):
+            core.ConvexBall(2, 1.0, [(0.0, 0.0), point])
+
     def test_sample_stays_inside(self):
         space = core.ConvexBall(3, 0.7, [(0.0, 0.0, 0.0)])
         rng = np.random.default_rng(1)
@@ -1008,18 +1014,19 @@ def test_empty_comparators_rejected():
 
 
 # ---------------------------------------------------------------------------
-# regret by column reads (the row path)
+# regret by per-arm totals
 
 
 class ReplayOnly:
-    """A loss without ``column``: ``policy_regret`` replays it call by call."""
+    """A loss without ``arm_totals``: ``policy_regret`` replays it call by
+    call."""
 
     def __init__(self, inner):
         self.loss = inner.loss
 
 
 class ForwardingCounter(CountingLoss):
-    """Counts loss calls and forwards every other attribute, ``column``
+    """Counts loss calls and forwards every other attribute, ``arm_totals``
     included, as the benchmark's tracing proxy does."""
 
     def __getattr__(self, name):
@@ -1161,6 +1168,79 @@ def test_row_path_rejects_a_column_of_the_wrong_length():
     tr = core.run_game(make_config(4), lrn.ScriptedLearner([0, 1, 1, 0]), loss, adv.NoDelay())
     with pytest.raises(ValueError, match=r"^column\(0, 4\) has 3 entries$"):
         core.policy_regret(tr, loss)
+
+
+def _trap_run(learner, horizon, seed):
+    spec = cli.ExperimentSpec(adversary="paritytrap", delay="parity", learner=learner,
+                              horizons=(horizon,), memory_bound=1)
+    tr, loss, _, _ = checks.play(spec, horizon, seed)
+    return tr, loss
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3, 7, 64, 1001, 2 ** 13])
+@pytest.mark.parametrize("learner", ["exp3", "uniform"])
+def test_trap_totals_equal_replay(learner, horizon):
+    hidden = set()
+    for rep in range(6):
+        tr, loss = _trap_run(learner, horizon, run_seed(24, rep))
+        hidden.add(loss.best_arm)
+        assert core.policy_regret(tr, loss) == core.policy_regret(tr, ReplayOnly(loss))
+        # subsets, duplicates, reorderings and numpy integers price the same
+        for comparators in ([0], [1], [1, 0], [0, 1, 0, 1], [1] * 3 + [0],
+                            [np.int64(1), 0], [np.int64(0)]):
+            assert (core.policy_regret(tr, loss, comparators)
+                    == core.policy_regret(tr, ReplayOnly(loss), comparators))
+    assert hidden == {0, 1}
+
+
+@settings(max_examples=200, deadline=None)
+@given(best=st.integers(0, 1), actions=st.lists(st.integers(0, 1), min_size=1, max_size=40),
+       numpy_actions=st.booleans())
+def test_trap_totals_equal_replay_on_any_history(best, actions, numpy_actions):
+    script = [np.int64(a) for a in actions] if numpy_actions else actions
+    loss = adv.ParityTrapLoss(best)
+    tr = core.run_game(make_config(len(actions)), lrn.ScriptedLearner(script), loss,
+                       adv.ParityDelay())
+    assert core.policy_regret(tr, loss) == core.policy_regret(tr, ReplayOnly(loss))
+
+
+def test_trap_totals_price_a_third_arm_like_the_arm_that_is_not_hidden():
+    # the trap compares actions with its hidden arm only, so on Discrete(3)
+    # arm 2 costs what the other arm that is not hidden costs
+    for best in (0, 1):
+        loss = adv.ParityTrapLoss(best)
+        for rep in range(3):
+            seed = run_seed(25, 10 * best + rep)
+            learner = lrn.UniformRandomLearner(3, substream(seed, LEARNER_STREAM))
+            tr = core.run_game(make_config(101, arms=3, seed=seed), learner, loss,
+                               adv.ParityDelay())
+            assert 2 in tr.actions
+            for comparators in (None, [2], [2, best], [1 - best, 2]):
+                assert (core.policy_regret(tr, loss, comparators)
+                        == core.policy_regret(tr, ReplayOnly(loss), comparators))
+            _, constant, swapped = loss.arm_totals(tr.actions, 3)
+            assert constant[2] == constant[1 - best]
+            assert swapped[2] == swapped[1 - best]
+
+
+def test_trap_totals_name_the_tampered_round():
+    tr, loss = _trap_run("exp3", 64, run_seed(26, 0))
+    true_losses = list(tr.true_losses)
+    true_losses[40] = 1.0 - true_losses[40]
+    tampered = dataclasses.replace(tr, true_losses=tuple(true_losses))
+    match = rf"^round 41: replayed loss {tr.true_losses[40]!r} != recorded {true_losses[40]!r}"
+    for path in (loss, ReplayOnly(loss)):
+        with pytest.raises(core.ReplayError, match=match):
+            core.policy_regret(tampered, path)
+
+
+def test_trap_totals_make_no_loss_calls():
+    tr, loss = _trap_run("exp3", 64, run_seed(27, 0))
+    counting = ForwardingCounter(loss)
+    assert core.policy_regret(tr, counting) == core.policy_regret(tr, ReplayOnly(loss))
+    assert (core.policy_regret(tr, counting, comparators=[1])
+            == core.policy_regret(tr, ReplayOnly(loss), comparators=[1]))
+    assert counting.calls == 0
 
 
 # ---------------------------------------------------------------------------
