@@ -23,7 +23,7 @@ the carry dynamics.
 from __future__ import annotations
 
 import math
-from itertools import islice, repeat
+from itertools import repeat
 from operator import getitem
 from typing import Sequence
 
@@ -165,29 +165,43 @@ class MultiScaleWalk:
 
 
 # ---------------------------------------------------------------------------
-# per-arm totals for regret accounting
+# oblivious losses tabulated per arm
 
 
-class _ColumnTotals:
-    """``arm_totals`` for an oblivious loss with ``column(y, T)``, arm y's
-    losses l_1(y)..l_T(y).
+class _ArmTable:
+    """Oblivious loss with one list per arm: arm y pays ``_columns[y][t - 1]``
+    in round t = 1..``horizon``, for arms 0..``arm_count`` - 1.
 
-    The played losses are read off the columns by action, and each arm's
-    constant and one-swap totals are the same ``math.fsum`` of its column,
-    the correctly rounded sum of the floats the replay would add.
+    ``loss`` reads one entry.  ``arm_totals`` reads the played losses off
+    the same lists, and each arm's constant and one-swap totals are the
+    same ``math.fsum`` of its list, the correctly rounded sum of the floats
+    the replay would add.  A round or an arm outside the table raises the
+    same text on either path.
     """
+
+    def loss(self, t: int, actions: Sequence) -> float:
+        # two compares: a chained 1 <= t <= horizon is slower in CPython
+        if t < 1 or t > self.horizon:
+            raise ValueError(f"t={t} outside 1..{self.horizon}")
+        y = actions[t - 1]
+        try:
+            column = self._columns[y]
+        except IndexError:
+            raise ValueError(f"arm {y!r} outside 0..{self.arm_count - 1}") from None
+        return column[t - 1]
 
     def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
         """(played losses, constant total per arm, one-swap total per arm)
         of the history ``actions`` for arms 0..arm_count - 1."""
         horizon = len(actions)
-        columns = [self.column(y, horizon) for y in range(arm_count)]
-        for y, col in enumerate(columns):
-            if len(col) != horizon:
-                raise ValueError(f"column({y}, {horizon}) has {len(col)} entries")
+        if horizon > self.horizon:
+            raise ValueError(f"t={self.horizon + 1} outside 1..{self.horizon}")
+        if arm_count > self.arm_count:
+            raise ValueError(f"arm {self.arm_count} outside 0..{self.arm_count - 1}")
+        columns = self._columns
         # zip(*columns) yields round t's loss for every arm; the action picks one
         replayed = tuple(map(getitem, zip(*columns), actions))
-        totals = [math.fsum(col) for col in columns]
+        totals = [math.fsum(columns[y][:horizon]) for y in range(arm_count)]
         return replayed, totals, totals
 
 
@@ -210,17 +224,17 @@ def gap_walk_defaults(arm_count: int, horizon: int) -> tuple:
     return gap, sigma
 
 
-class GapWalkLoss(_ColumnTotals):
+class GapWalkLoss(_ArmTable):
     """Oblivious loss: every arm pays the truncated walk baseline, the
     hidden best arm pays ``gap`` less (before truncation).
 
     best_arm may be None, meaning no arm is favored and all losses
     coincide.  gap must lie in (0, 1/8].
 
-    Both truncated baselines are tabulated on construction, indexed by the
-    round, so a loss at t = 1..T is one range check and one list read.
-    numpy adds, subtracts and clips elementwise with the same IEEE rounding
-    as scalar Python, so the tables equal the formula in
+    Both truncated baselines are tabulated on construction for rounds
+    1..T; the hidden arm's list is the low one, and every other arm shares
+    the high one.  numpy adds, subtracts and clips elementwise with the
+    same IEEE rounding as scalar Python, so the tables equal the formula in
     :meth:`masked_baseline` bit for bit.
     """
 
@@ -234,9 +248,11 @@ class GapWalkLoss(_ColumnTotals):
         self.walk = walk
         self.horizon = walk.horizon
         self.best_arm = best_arm
-        base = walk.values() + 0.75
+        base = walk.values()[1:] + 0.75
         self._high = np.clip(base, LOSS_FLOOR, LOSS_CEIL).tolist()
         self._low = np.clip(base - self.gap, LOSS_FLOOR, LOSS_CEIL).tolist()
+        self._columns = [self._low if y == best_arm else self._high
+                         for y in range(self.arm_count)]
 
     @classmethod
     def from_seed(cls, arm_count, horizon, gap, sigma, master_seed) -> "GapWalkLoss":
@@ -247,16 +263,6 @@ class GapWalkLoss(_ColumnTotals):
         walk = MultiScaleWalk(sigma, horizon, master_seed)
         return cls(walk, arm_count, best, gap)
 
-    def loss(self, t: int, actions: Sequence) -> float:
-        if not 1 <= t <= self.horizon:
-            raise ValueError(f"t={t} outside 1..{self.horizon}")
-        return self._low[t] if actions[t - 1] == self.best_arm else self._high[t]
-
-    def column(self, y, horizon: int) -> list:
-        """Arm y's losses for rounds 1..horizon: a slice of one table."""
-        horizon = _check_column(y, self.arm_count, horizon, self.horizon)
-        return (self._low if y == self.best_arm else self._high)[1 : horizon + 1]
-
     def masked_baseline(self, t: int, low: bool) -> float:
         """Truncated walk value, less the gap when ``low``:
         clip(W_t + 0.75, 0.5, 1) when high, clip((W_t + 0.75) - gap, 0.5, 1)
@@ -265,9 +271,9 @@ class GapWalkLoss(_ColumnTotals):
         This is the baseline the masking delay exposes in each state, and
         also every arm's loss: the hidden arm's is the low one.
         """
-        if not 1 <= t <= self.horizon:
+        if t < 1 or t > self.horizon:
             raise ValueError(f"t={t} outside 1..{self.horizon}")
-        return self._low[t] if low else self._high[t]
+        return (self._low if low else self._high)[t - 1]
 
 
 def switch_bound(gap: float, best_arm_pulls) -> float:
@@ -417,7 +423,7 @@ class ParityDelay:
 # utility adversaries
 
 
-class ConstantLoss(_ColumnTotals):
+class ConstantLoss:
     """Every action costs the same fixed value; the dullest oblivious loss."""
 
     def __init__(self, value: float = 0.5):
@@ -428,12 +434,15 @@ class ConstantLoss(_ColumnTotals):
             raise ValueError(f"t={t} outside 1..T")
         return self.value
 
-    def column(self, y, horizon: int) -> list:
-        """Arm y's losses for rounds 1..horizon, whatever y is."""
-        return [self.value] * _check_column(y, None, horizon, None)
+    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
+        """(played losses, constant total per arm, one-swap total per arm)
+        of the history ``actions``: every arm pays ``value`` every round."""
+        played = (self.value,) * len(actions)
+        total = math.fsum(played)
+        return played, [total] * arm_count, [total] * arm_count
 
 
-class TableLoss(_ColumnTotals):
+class TableLoss(_ArmTable):
     """Oblivious i.i.d. loss table: independent uniform [0, 1) per round
     and arm, materialized up front from a seed stream."""
 
@@ -442,41 +451,12 @@ class TableLoss(_ColumnTotals):
         if table.ndim != 2:
             raise ValueError("table must be (horizon, arms)")
         self.horizon, self.arm_count = table.shape
-        self._rows = table.tolist()
+        self._columns = table.T.tolist()
 
     @classmethod
     def from_seed(cls, arm_count, horizon, master_seed):
         shape = (check_int("horizon", horizon, 1), check_int("arm_count", arm_count, 2))
         return cls(substream(master_seed, LOSS_TABLE_STREAM).random(shape))
-
-    def loss(self, t: int, actions: Sequence) -> float:
-        # past T the row lookup raises for free; a range test in front of
-        # it made wide-delay about 1 % slower
-        try:
-            if t < 1:
-                raise IndexError
-            row = self._rows[t - 1]
-        except IndexError:
-            raise ValueError(f"t={t} outside 1..{self.horizon}") from None
-        return row[actions[t - 1]]
-
-    def column(self, y, horizon: int) -> list:
-        """Arm y's losses for rounds 1..horizon, one entry of each row."""
-        horizon = _check_column(y, self.arm_count, horizon, self.horizon)
-        return [row[y] for row in islice(self._rows, horizon)]
-
-
-def _check_column(y, arm_count, horizon, limit) -> int:
-    """The ``horizon`` of arm y's column, rounds 1..horizon, as an ``int``.
-    A loss with ``arm_count`` arms (None: any y) rejects y outside
-    0..arm_count - 1, and a loss defined up to ``limit`` (None: every round)
-    rejects the first round past it, as ``loss`` does."""
-    if arm_count is not None and not 0 <= y < arm_count:
-        raise ValueError(f"arm {y!r} outside 0..{arm_count - 1}")
-    horizon = check_int("horizon", horizon, 1)
-    if limit is not None and horizon > limit:
-        raise ValueError(f"t={limit + 1} outside 1..{limit}")
-    return horizon
 
 
 class NoDelay:

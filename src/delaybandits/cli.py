@@ -27,6 +27,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import operator
 import sys
 import time
@@ -66,10 +67,10 @@ class UsageError(Exception):
 
 
 #: the spec's integer fields, each with the flag that sets it and its least
-#: value (None: unbounded; ``run_seed`` masks a negative seed base)
+#: value (-inf: unbounded; ``run_seed`` masks a negative seed base)
 _INT_FIELDS = (("arm_count", "--K", 2), ("delay_span", "--d", 0), ("memory_bound", "--m", 0),
                ("batch_size", "--tau", 0), ("repetitions", "--seeds", 1),
-               ("seed_base", "--seed-base", None), ("workers", "--workers", 1))
+               ("seed_base", "--seed-base", -math.inf), ("workers", "--workers", 1))
 
 
 @dataclass(frozen=True)
@@ -101,13 +102,14 @@ class ExperimentSpec:
             raise UsageError(f"--T must be given as a tuple of horizons, got {self.horizons!r}")
         if not self.horizons:
             raise UsageError("need at least one horizon (--T)")
-        given = [("--T", t, 1) for t in self.horizons]
-        given += [(flag, getattr(self, name), least) for name, flag, least in _INT_FIELDS]
-        for flag, value, least in given:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise UsageError(f"{flag} must be an integer, got {value!r}")
-            if least is not None and value < least:
-                raise UsageError(f"{flag} must be >= {least}, got {value!r}")
+        # a frozen spec stores each checked value back as a plain int
+        try:
+            horizons = tuple(core.check_int("--T", t, 1) for t in self.horizons)
+            object.__setattr__(self, "horizons", horizons)
+            for name, flag, least in _INT_FIELDS:
+                object.__setattr__(self, name, core.check_int(flag, getattr(self, name), least))
+        except ValueError as e:
+            raise UsageError(str(e)) from None
         if len(set(self.horizons)) != len(self.horizons):
             raise UsageError("horizons must be distinct")
         if self.adversary == "paritytrap" and self.arm_count != 2:
@@ -119,6 +121,8 @@ class ExperimentSpec:
         if self.delay != "lastslot" and self.delay_span != 0:
             raise UsageError(f"--delay {self.delay} fixes its own span; "
                              "--d applies to --delay lastslot only")
+        if self.learner != "wrapper-exp3" and self.batch_size != 0:
+            raise UsageError("--tau applies to --learner wrapper-exp3 only")
         if self.delay == "lastslot" and self.delay_span == 1:
             raise UsageError("--delay lastslot needs --d >= 2 (0 = 2)")
         if self.adversary == "gapwalk" and any(t < 3 for t in self.horizons):

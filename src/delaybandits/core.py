@@ -17,8 +17,8 @@ of a transcript.  That is why adversaries must realize all randomness from
 counter-style seed streams (see :mod:`delaybandits.seeding`): a replayed
 history re-reads the same random values the live run used.  A loss with
 one optional method, ``arm_totals(actions, K)``, prices every arm at once
-instead of being called round by round: the oblivious losses sum each
-arm's column, and the parity trap counts its 0/1 losses.
+instead of being called round by round: each oblivious loss sums its
+per-arm table of losses, and the parity trap counts its 0/1 losses.
 
 Loss adversaries are called as ``loss(t, actions)`` where ``actions`` is a
 sequence with at least t entries whose first t entries are the history
@@ -468,7 +468,7 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
     returns the played history's losses, which are checked against the
     recorded ones, and each arm's constant and one-swap totals, equal to
     the replay's sums.  The oblivious losses (``ConstantLoss``,
-    ``TableLoss``, ``GapWalkLoss``) sum each arm's column, and
+    ``TableLoss``, ``GapWalkLoss``) sum each arm's table of losses, and
     ``ParityTrapLoss`` counts.  Any other loss, or a point of a
     :class:`ConvexBall`, is replayed call by call.
     """

@@ -7,6 +7,7 @@ import warnings
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -157,11 +158,13 @@ class TestUsageErrors:
         (dict(memory_bound=-1), "--m must be >= 0, got -1"),
         (dict(adversary="iid", delay="parity"), "--delay parity requires --adversary paritytrap"),
         (dict(horizons=(2,)), "gapwalk default schedules need T >= 3"),
+        (dict(adversary="iid", delay="none", learner="exp3", batch_size=5),
+         "--tau applies to --learner wrapper-exp3 only"),
     ], ids=["three-armed-trap", "statemachine-over-iid", "span-without-lastslot",
             "T-bare-int", "T-list", "unknown-adversary", "unknown-delay", "unknown-learner",
             "T-none", "T-below-1", "T-duplicate", "K-below-2", "seeds-below-1",
             "workers-below-1", "tau-negative", "d-negative", "m-negative",
-            "parity-without-trap", "gapwalk-T-below-3"])
+            "parity-without-trap", "gapwalk-T-below-3", "tau-without-wrapper"])
     def test_spec_built_in_python_is_checked(self, given, message):
         with pytest.raises(cli.UsageError) as info:
             cli.ExperimentSpec(**given)
@@ -190,6 +193,20 @@ class TestUsageErrors:
                                   memory_bound=0, batch_size=0, repetitions=1, workers=1,
                                   seed_base=-5)
         assert (spec.horizons, spec.seed_base) == ((1,), -5)
+
+    def test_spec_stores_numpy_integers_as_ints(self):
+        given = dict(horizons=(np.int64(64), np.uint16(128)), arm_count=np.int64(3),
+                     delay_span=np.int32(4), memory_bound=np.int8(1), batch_size=np.int64(5),
+                     repetitions=np.int64(2), seed_base=np.int64(-5), workers=np.int64(1))
+        spec = cli.ExperimentSpec(adversary="iid", delay="lastslot", **given)
+        plain = cli.ExperimentSpec(adversary="iid", delay="lastslot", horizons=(64, 128),
+                                   arm_count=3, delay_span=4, memory_bound=1, batch_size=5,
+                                   repetitions=2, seed_base=-5, workers=1)
+        assert spec == plain
+        assert all(type(t) is int for t in spec.horizons)
+        assert all(type(getattr(spec, name)) is int for name in given if name != "horizons")
+        with pytest.raises(cli.UsageError, match=r"^--K must be >= 2, got np\.int64\(1\)$"):
+            cli.ExperimentSpec(arm_count=np.int64(1))
 
     def test_span_flag_only_for_last_slot_delay(self, tmp_path):
         # the masking and parity delays fix their own span of 2

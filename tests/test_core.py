@@ -124,7 +124,6 @@ def _int_parameters() -> dict:
         return np.random.default_rng(0)
 
     walk = adv.MultiScaleWalk(0.1, 8, master_seed=1)
-    walk_loss = adv.GapWalkLoss(walk, 2, 0, 0.1)
     tr = core.run_game(make_config(4), lrn.ScriptedLearner([0] * 4),
                        adv.ConstantLoss(0.5), adv.NoDelay())
     cases = [
@@ -158,15 +157,10 @@ def _int_parameters() -> dict:
         ("GapWalkLoss-best_arm", lambda v: adv.GapWalkLoss(walk, 2, v, 0.1),
          "best_arm", 0, "best_arm"),
         ("ParityTrapLoss", adv.ParityTrapLoss, "best_arm", 0, "best_arm"),
-        ("ConstantLoss.column", lambda v: adv.ConstantLoss(0.5).column(0, v),
-         "horizon", 1, "none"),
-        ("TableLoss.column", lambda v: adv.TableLoss.from_seed(2, 8, 1).column(0, v),
-         "horizon", 1, "none"),
         ("TableLoss.from_seed-arm_count", lambda v: adv.TableLoss.from_seed(v, 8, 1),
          "arm_count", 2, "arm_count"),
         ("TableLoss.from_seed-horizon", lambda v: adv.TableLoss.from_seed(2, v, 1),
          "horizon", 1, "horizon"),
-        ("GapWalkLoss.column", lambda v: walk_loss.column(0, v), "horizon", 1, "none"),
         ("LastSlotDelay", adv.LastSlotDelay, "delay_span", 2, "delay_span"),
         ("SeededSplitDelay-delay_span", lambda v: adv.SeededSplitDelay(v, 4),
          "delay_span", 1, "delay_span"),
@@ -410,26 +404,55 @@ _DATA_AND_FLAG_MESSAGES = {"values must be finite and strictly positive for a lo
                            "--bootstrap must be >= 0 (0 = no interval)"}
 
 
+def _ad_hoc_parameter_checks(source: str) -> list:
+    """(line, text) of each string in ``source``, docstrings and the bodies
+    of ``check_int`` and ``check_real`` aside, that spells out a parameter
+    rule on its own.  An f-string is read as its constant parts with "{}"
+    for each formatted value, so a copy of a rule with its bound or name
+    formatted in is found too."""
+    retired = ("must be positive", "must be finite", "must be >= 0", "must be >= {}",
+               "must lie in (", "must lie in [", "must be an integer")
+    tree = ast.parse(source)
+    skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and fn.name in ("check_int", "check_real") for node in ast.walk(fn)}
+    skip.update(id(scope.body[0].value) for scope in ast.walk(tree)
+                if isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                and ast.get_docstring(scope) is not None)
+    found = []
+    for node in ast.walk(tree):
+        if id(node) in skip:
+            continue
+        if isinstance(node, ast.JoinedStr):
+            skip.update(id(part) for part in node.values)
+            text = "".join(part.value if isinstance(part, ast.Constant) else "{}"
+                           for part in node.values)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            text = node.value
+        else:
+            continue
+        if text not in _DATA_AND_FLAG_MESSAGES and any(phrase in text for phrase in retired):
+            found.append((node.lineno, text))
+    return found
+
+
 def test_no_ad_hoc_parameter_checks():
     """No string in the package's code, docstrings aside, spells out a
-    parameter range on its own: those phrases belong to ``check_int`` and
+    parameter rule on its own: those phrases belong to ``check_int`` and
     ``check_real``."""
-    retired = ("must be positive", "must be finite", "must be >= 0", "must lie in (",
-               "must lie in [")
-    found = []
-    for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text())
-        skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-                and fn.name in ("check_int", "check_real") for node in ast.walk(fn)}
-        skip.update(id(scope.body[0].value) for scope in ast.walk(tree)
-                    if isinstance(scope, (ast.Module, ast.ClassDef, ast.FunctionDef))
-                    and ast.get_docstring(scope) is not None)
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
-                    and id(node) not in skip and node.value not in _DATA_AND_FLAG_MESSAGES
-                    and any(phrase in node.value for phrase in retired)):
-                found.append(f"{path.name}:{node.lineno}: {node.value!r}")
+    found = [f"{path.name}:{line}: {text!r}"
+             for path in sorted(pathlib.Path(core.__file__).parent.glob("*.py"))
+             for line, text in _ad_hoc_parameter_checks(path.read_text())]
     assert found == []
+
+
+def test_ad_hoc_parameter_check_scan_reads_f_strings():
+    # the two texts of the integer rule the run spec once spelled out itself
+    copy = ('if isinstance(value, bool) or not isinstance(value, int):\n'
+            '    raise UsageError(f"{flag} must be an integer, got {value!r}")\n'
+            'if value < least:\n'
+            '    raise UsageError(f"{flag} must be >= {least}, got {value!r}")\n')
+    assert _ad_hoc_parameter_checks(copy) == [(2, "{} must be an integer, got {}"),
+                                              (4, "{} must be >= {}, got {}")]
 
 
 def test_parity_trap_and_gap_walk_keep_their_arm_ranges():
@@ -1115,7 +1138,7 @@ def test_row_path_makes_no_loss_calls(adversary):
     counting = ForwardingCounter(loss)
     assert core.policy_regret(tr, counting) == core.policy_regret(tr, ReplayOnly(loss))
     assert counting.calls == 0
-    # a comparator subset reads the same columns: still no loss call
+    # a comparator subset reads the same tables: still no loss call
     assert (core.policy_regret(tr, counting, comparators=[0])
             == core.policy_regret(tr, ReplayOnly(loss), comparators=[0]))
     assert counting.calls == 0
@@ -1147,8 +1170,34 @@ def test_row_path_rejects_a_horizon_beyond_the_loss(adversary):
             core.policy_regret(tr, path)
 
 
+#: two-armed oblivious losses narrower than a three-armed space
+NARROW_LOSSES = {
+    "table": lambda: adv.TableLoss.from_seed(2, 64, 1),
+    "gapwalk": lambda: adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 64, master_seed=3), 2, 1, 0.1),
+    "gapwalk-nobest": lambda: adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 64, master_seed=3), 2,
+                                              None, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NARROW_LOSSES))
+def test_a_loss_narrower_than_the_space_names_the_arm_it_lacks(name):
+    loss = NARROW_LOSSES[name]()
+    match = r"^arm 2 outside 0\.\.1$"
+    learner = lrn.UniformRandomLearner(3, substream(run_seed(22, 0), LEARNER_STREAM))
+    with pytest.raises(ValueError, match=match):
+        core.run_game(make_config(64, arms=3), learner, loss, adv.NoDelay())
+    # a history that never plays arm 2 runs, and pricing arm 2 names it on
+    # either path
+    tr = core.run_game(make_config(64, arms=3), lrn.ScriptedLearner([0, 1] * 32), loss,
+                       adv.NoDelay())
+    for comparators in (None, [2], [0, 2, 1]):
+        for path in (loss, ReplayOnly(loss)):
+            with pytest.raises(ValueError, match=match):
+                core.policy_regret(tr, path, comparators)
+
+
 def test_unhashable_actions_keep_the_replay():
-    # a ball is not Discrete, so a loss with ``column`` is still replayed
+    # a ball is not Discrete, so a loss with ``arm_totals`` is still replayed
     space = core.ConvexBall(2, 1.0, [(0.0, 0.0), (0.5, 0.0)])
     points = [np.array([0.1 * t, 0.0]) for t in range(1, 5)]
     loss = ForwardingCounter(adv.ConstantLoss(0.5))
@@ -1157,17 +1206,6 @@ def test_unhashable_actions_keep_the_replay():
     loss.calls = 0
     assert core.policy_regret(tr, loss) == core.RegretReport(2.0, 0.0, 0.0)
     assert loss.calls == 5 * 4
-
-
-def test_row_path_rejects_a_column_of_the_wrong_length():
-    class Short(adv.ConstantLoss):
-        def column(self, y, horizon):
-            return super().column(y, horizon - 1)
-
-    loss = Short(0.5)
-    tr = core.run_game(make_config(4), lrn.ScriptedLearner([0, 1, 1, 0]), loss, adv.NoDelay())
-    with pytest.raises(ValueError, match=r"^column\(0, 4\) has 3 entries$"):
-        core.policy_regret(tr, loss)
 
 
 def _trap_run(learner, horizon, seed):
