@@ -173,10 +173,10 @@ class _ArmTable:
     in round t = 1..``horizon``, for arms 0..``arm_count`` - 1.
 
     ``loss`` reads one entry.  ``arm_totals`` reads the played losses off
-    the same lists, and each arm's constant and one-swap totals are the
-    same ``math.fsum`` of its list, the correctly rounded sum of the floats
-    the replay would add.  A round or an arm outside the table raises the
-    same text on either path.
+    the same lists, and each comparator's constant and one-swap totals are
+    the same ``math.fsum`` of its arm's list, the correctly rounded sum of
+    the floats the replay would add.  A round or an arm outside the table,
+    a negative arm included, raises the same text on either path.
     """
 
     def loss(self, t: int, actions: Sequence) -> float:
@@ -184,24 +184,24 @@ class _ArmTable:
         if t < 1 or t > self.horizon:
             raise ValueError(f"t={t} outside 1..{self.horizon}")
         y = actions[t - 1]
-        try:
-            column = self._columns[y]
-        except IndexError:
-            raise ValueError(f"arm {y!r} outside 0..{self.arm_count - 1}") from None
-        return column[t - 1]
+        if y < 0 or y >= self.arm_count:
+            raise ValueError(f"arm {y!r} outside 0..{self.arm_count - 1}")
+        return self._columns[y][t - 1]
 
-    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
-        """(played losses, constant total per arm, one-swap total per arm)
-        of the history ``actions`` for arms 0..arm_count - 1."""
+    def arm_totals(self, actions: Sequence, comparators: Sequence) -> tuple:
+        """Prices for :func:`~delaybandits.core.policy_regret`, off the table."""
         horizon = len(actions)
         if horizon > self.horizon:
             raise ValueError(f"t={self.horizon + 1} outside 1..{self.horizon}")
-        if arm_count > self.arm_count:
-            raise ValueError(f"arm {self.arm_count} outside 0..{self.arm_count - 1}")
+        arms = range(self.arm_count)
+        # one set scan clears the played arms; the loop names the first stray
+        for y in comparators if set(actions).issubset(arms) else [*actions, *comparators]:
+            if y < 0 or y >= self.arm_count:
+                raise ValueError(f"arm {y!r} outside 0..{self.arm_count - 1}")
         columns = self._columns
         # zip(*columns) yields round t's loss for every arm; the action picks one
         replayed = tuple(map(getitem, zip(*columns), actions))
-        totals = [math.fsum(columns[y][:horizon]) for y in range(arm_count)]
+        totals = [math.fsum(columns[y][:horizon]) for y in comparators]
         return replayed, totals, totals
 
 
@@ -365,7 +365,6 @@ class ParityTrapLoss:
         self.best_arm = check_int("best_arm", best_arm, 0)
         if self.best_arm > 1:
             raise ValueError("parity trap is two-armed; best_arm must be 0 or 1")
-        self.arm_count = 2
 
     @classmethod
     def from_seed(cls, master_seed) -> "ParityTrapLoss":
@@ -373,24 +372,21 @@ class ParityTrapLoss:
         return cls(z)
 
     def loss(self, t: int, actions: Sequence) -> float:
-        if t & 1:
-            if t < 1:
-                raise ValueError(f"t={t} outside 1..T")
-            return 0.0 if actions[t - 1] == self.best_arm else 1.0
-        if t < 2:
+        if t < 1:
             raise ValueError(f"t={t} outside 1..T")
+        if t & 1:
+            return 0.0 if actions[t - 1] == self.best_arm else 1.0
         return 1.0 if actions[t - 2] == self.best_arm else 0.0
 
-    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
-        """(played losses, constant total per arm, one-swap total per arm)
-        of the history ``actions`` for arms 0..arm_count - 1, by counting.
+    def arm_totals(self, actions: Sequence, comparators: Sequence) -> tuple:
+        """Prices for :func:`~delaybandits.core.policy_regret`, by counting.
 
-        Every loss is 0.0 or 1.0, so each total is an exact count, equal
-        to the ``math.fsum`` of the losses it counts.  On a constant history
+        Every loss is 0.0 or 1.0, so each total is an exact count, equal to
+        the ``math.fsum`` of the losses it counts.  On a constant history
         every odd-even pair costs 1 and an unpaired last round costs 1 off
         the hidden arm.  With round t swapped, an odd round costs 1 off the
-        hidden arm and an even round repays the realized hit before it.
-        An arm past the second is priced like the arm that is not hidden.
+        hidden arm and an even round repays the realized hit before it.  An
+        arm past the second is priced like the arm that is not hidden.
         """
         horizon = len(actions)
         paired = horizon // 2
@@ -402,8 +398,8 @@ class ParityTrapLoss:
         replayed[1::2] = hits
         repaid = hits.count(1.0)
         odd = horizon - paired
-        constant = [float(paired + (horizon & 1) * (y != best)) for y in range(arm_count)]
-        swapped = [float(odd * (y != best) + repaid) for y in range(arm_count)]
+        constant = [float(paired + (horizon & 1) * (y != best)) for y in comparators]
+        swapped = [float(odd * (y != best) + repaid) for y in comparators]
         return tuple(replayed), constant, swapped
 
 
@@ -434,12 +430,12 @@ class ConstantLoss:
             raise ValueError(f"t={t} outside 1..T")
         return self.value
 
-    def arm_totals(self, actions: Sequence, arm_count: int) -> tuple:
-        """(played losses, constant total per arm, one-swap total per arm)
-        of the history ``actions``: every arm pays ``value`` every round."""
+    def arm_totals(self, actions: Sequence, comparators: Sequence) -> tuple:
+        """Prices for :func:`~delaybandits.core.policy_regret`: every action,
+        a point of a ball included, pays ``value`` every round."""
         played = (self.value,) * len(actions)
-        total = math.fsum(played)
-        return played, [total] * arm_count, [total] * arm_count
+        totals = [math.fsum(played)] * len(comparators)
+        return played, totals, totals
 
 
 class TableLoss(_ArmTable):

@@ -260,8 +260,9 @@ def bootstrap_exponent_ci(groups: dict, resamples: int) -> Optional[tuple]:
 
     Each resample redraws the runs within every horizon with replacement
     from ``default_rng(0)``.  Resamples the fit rejects (an all-zero
-    horizon) are skipped; None when every one is.
+    horizon) are skipped; None when every one is, or ``resamples`` is 0.
     """
+    resamples = check_int("resamples", resamples, 0)
     rng = np.random.default_rng(0)
     alphas = []
     for _ in range(resamples):

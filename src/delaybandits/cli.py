@@ -253,8 +253,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.bootstrap < 0:
-        raise UsageError("--bootstrap must be >= 0 (0 = no interval)")
+    try:
+        resamples = core.check_int("--bootstrap", args.bootstrap, 0)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
     rows = read_rows(args.csv)
     if not rows:
         raise UsageError(f"no data rows in {args.csv}")
@@ -277,8 +279,8 @@ def cmd_analyze(args) -> int:
         "r_squared": fit.r_squared,
         "points": [[t, v] for t, v in fit.points],
     }
-    if args.bootstrap > 0:
-        ci = analysis.bootstrap_exponent_ci(groups, args.bootstrap)
+    if resamples > 0:
+        ci = analysis.bootstrap_exponent_ci(groups, resamples)
         if ci is not None:
             payload["alpha_ci_90"] = list(ci)
     print(json.dumps(payload))
@@ -352,7 +354,7 @@ def build_parser() -> _Parser:
     p_an.add_argument("csv", help="result CSV produced by run or sweep")
     p_an.add_argument("--metric", default="policy_regret")
     p_an.add_argument("--bootstrap", type=int, default=0,
-                      help="bootstrap resamples for a confidence interval")
+                      help="bootstrap resamples for a confidence interval (0 = none)")
     p_an.set_defaults(func=cmd_analyze)
     return parser
 

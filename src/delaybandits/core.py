@@ -15,10 +15,9 @@ Regret is accounted against the true losses by counterfactual replay: one
 call, :func:`policy_regret`, returns both the policy and the pseudo regret
 of a transcript.  That is why adversaries must realize all randomness from
 counter-style seed streams (see :mod:`delaybandits.seeding`): a replayed
-history re-reads the same random values the live run used.  A loss with
-one optional method, ``arm_totals(actions, K)``, prices every arm at once
-instead of being called round by round: each oblivious loss sums its
-per-arm table of losses, and the parity trap counts its 0/1 losses.
+history re-reads the same random values the live run used.  A loss may
+price the comparators it is given itself, with ``arm_totals(actions,
+comparators)``; every other loss is replayed call by call.
 
 Loss adversaries are called as ``loss(t, actions)`` where ``actions`` is a
 sequence with at least t entries whose first t entries are the history
@@ -33,6 +32,7 @@ from __future__ import annotations
 import gc
 import math
 from dataclasses import KW_ONLY, dataclass
+from functools import partial
 from itertools import repeat
 from typing import Optional
 
@@ -177,8 +177,8 @@ class ConvexBall:
 @dataclass(frozen=True)
 class GameConfig:
     """Immutable description of one simulated game.  The horizon is an
-    integer >= 1 (see :func:`check_int`); the delay span is the delay
-    adversary's own (see :func:`run_game`); the seed is keyword-only."""
+    integer >= 1, the keyword-only seed any integer (see :func:`check_int`);
+    the delay span is the delay adversary's own (see :func:`run_game`)."""
 
     horizon: int
     action_space: object
@@ -187,6 +187,8 @@ class GameConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "horizon", check_int("horizon", self.horizon, 1))
+        object.__setattr__(self, "master_seed",
+                           check_int("master_seed", self.master_seed, -math.inf))
 
 
 # ---------------------------------------------------------------------------
@@ -450,27 +452,20 @@ class RegretReport:
 
 
 def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> RegretReport:
-    """Policy and pseudo regret of a transcript, replayed through the
+    """Policy and pseudo regret of a transcript, priced through the
     adversary.
 
     Comparators default to the action space's; every one must lie in the
-    action space, or ``ValueError`` names the first that does not.  The
-    realized history is replayed first and must reproduce the recorded
-    losses exactly, or :class:`ReplayError` names the first round that
-    differs.  Then, for each comparator y, the policy total sums l_t over
-    the constant history (y, ..., y), and the pseudo total sums l_t over the
-    history that keeps a_1..a_{t-1} and plays y in round t.  For oblivious
-    (memoryless) adversaries both equal standard external regret.  Every
-    total is a ``math.fsum``.
+    action space, or ``ValueError`` names the first that does not.  For each
+    comparator y, the policy total sums l_t over the constant history
+    (y, ..., y), and the pseudo total sums l_t over the history that keeps
+    a_1..a_{t-1} and plays y in round t; each is a ``math.fsum``.  For
+    oblivious (memoryless) adversaries both equal standard external regret.
 
-    Per-arm totals: when the action space is :class:`Discrete` and the loss
-    has ``arm_totals(actions, K)``, no ``loss`` call is made.  The method
-    returns the played history's losses, which are checked against the
-    recorded ones, and each arm's constant and one-swap totals, equal to
-    the replay's sums.  The oblivious losses (``ConstantLoss``,
-    ``TableLoss``, ``GapWalkLoss``) sum each arm's table of losses, and
-    ``ParityTrapLoss`` counts.  Any other loss, or a point of a
-    :class:`ConvexBall`, is replayed call by call.
+    One pricing call, the loss's ``arm_totals(actions, comparators)`` or
+    else :func:`_replay_totals`, returns the played losses, which must equal
+    the recorded ones or :class:`ReplayError` names the first round that
+    differs, and each comparator's two totals.
     """
     space = transcript.config.action_space
     comparators = space.comparators() if comparators is None else list(comparators)
@@ -480,44 +475,41 @@ def policy_regret(transcript: Transcript, loss_adversary, comparators=None) -> R
         if not space.contains(y):
             raise ValueError(f"comparator {y!r} is not in the action space")
 
-    T = transcript.horizon
-    actions = transcript.actions
-    rounds = range(1, T + 1)
+    price = getattr(loss_adversary, "arm_totals", None)
+    if price is None:
+        price = partial(_replay_totals, loss_adversary.loss)
+    replayed, constant, swapped = price(transcript.actions, comparators)
     losses = transcript.true_losses
-    arm_totals = getattr(loss_adversary, "arm_totals", None)
-    by_arm = arm_totals is not None and isinstance(space, Discrete)
-    if by_arm:
-        replayed, constant, swapped = arm_totals(actions, space.arm_count)
-    else:
-        loss_fn = loss_adversary.loss
-        replayed = tuple(map(loss_fn, rounds, repeat(list(actions), T)))
     if replayed != losses:
-        for t, again, recorded in zip(rounds, replayed, losses):
+        for t, (again, recorded) in enumerate(zip(replayed, losses), 1):
             if again != recorded:
-                raise ReplayError(
-                    f"round {t}: replayed loss {again!r} != recorded "
-                    f"{recorded!r}; adversary randomness is not replay-stable"
-                )
-
-    if by_arm:
-        constant = [constant[y] for y in comparators]
-        swapped = [swapped[y] for y in comparators]
-    else:
-        constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
-        swapped = []
-        for y in comparators:
-            # walk t downwards: rounds after t already hold y, and loss(t, .)
-            # reads rounds 1..t only, so nothing needs restoring; fsum is
-            # correctly rounded, so the order of the terms does not matter
-            hist = list(actions)
-            vals = []
-            append = vals.append
-            for t in range(T, 0, -1):
-                hist[t - 1] = y
-                append(loss_fn(t, hist))
-            swapped.append(math.fsum(vals))
+                raise ReplayError(f"round {t}: replayed loss {again!r} != recorded "
+                                  f"{recorded!r}; adversary randomness is not replay-stable")
     realized = transcript.realized_total
     return RegretReport(realized, realized - min(constant), realized - min(swapped))
+
+
+def _replay_totals(loss_fn, actions, comparators) -> tuple:
+    """(played losses, constant total per comparator, one-swap total per
+    comparator) of ``actions`` by calling ``loss_fn``: the oracle of every
+    ``arm_totals``."""
+    T = len(actions)
+    rounds = range(1, T + 1)
+    replayed = tuple(map(loss_fn, rounds, repeat(list(actions), T)))
+    constant = [math.fsum(map(loss_fn, rounds, repeat([y] * T, T))) for y in comparators]
+    swapped = []
+    for y in comparators:
+        # walk t downwards: rounds after t already hold y, and loss(t, .)
+        # reads rounds 1..t only, so nothing needs restoring; fsum is
+        # correctly rounded, so the order of the terms does not matter
+        hist = list(actions)
+        vals = []
+        append = vals.append
+        for t in range(T, 0, -1):
+            hist[t - 1] = y
+            append(loss_fn(t, hist))
+        swapped.append(math.fsum(vals))
+    return replayed, constant, swapped
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,17 @@ learner sampling, probe perturbations) pulls from its own child stream of
 the run's master seed.  Child streams are keyed by fixed integer ids, so a
 value drawn for a given (seed, stream, index) is the same no matter what
 else has been sampled before it.  That property is what lets counterfactual
-replays see exactly the randomness of the original run.
+replays see exactly the randomness of the original run.  Seeds, run
+indices and stream ids are integers of any sign (see ``core.check_int``).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+
+from .core import check_int
 
 _UINT64 = (1 << 64) - 1
 
@@ -29,7 +34,8 @@ def substream(master_seed: int, *path: int) -> np.random.Generator:
     Identical (master_seed, path) pairs always yield generators producing
     identical draws, independent of creation order.
     """
-    entropy = (int(master_seed) & _UINT64,) + tuple(int(p) & _UINT64 for p in path)
+    entropy = ((check_int("master_seed", master_seed, -math.inf) & _UINT64,)
+               + tuple(check_int("path id", p, -math.inf) & _UINT64 for p in path))
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
@@ -39,5 +45,6 @@ def run_seed(seed_base: int, run_index: int) -> int:
     Depends only on (seed_base, run_index): adding more repetitions to a
     sweep never reshuffles the seeds of runs that already exist.
     """
-    ss = np.random.SeedSequence((int(seed_base) & _UINT64, int(run_index) & _UINT64))
+    ss = np.random.SeedSequence((check_int("seed_base", seed_base, -math.inf) & _UINT64,
+                                 check_int("run_index", run_index, -math.inf) & _UINT64))
     return int(ss.generate_state(1, np.uint64)[0])

@@ -603,44 +603,51 @@ def test_arm_totals_read_the_losses_loss_returns(name):
     loss = _stock_oblivious_losses()[name]
     for horizon in (1, 17, 40):
         for actions in _histories(horizon):
-            played, constant, swapped = loss.arm_totals(actions, 3)
-            assert played == tuple(loss.loss(t, actions) for t in range(1, horizon + 1))
-            assert constant == swapped == [
-                math.fsum(loss.loss(t, [y] * t) for t in range(1, horizon + 1))
-                for y in range(3)]
+            for comparators in ([0, 1, 2], [2, 0, 2], [np.int64(1)]):
+                played, constant, swapped = loss.arm_totals(actions, comparators)
+                assert played == tuple(loss.loss(t, actions) for t in range(1, horizon + 1))
+                assert constant == swapped == [
+                    math.fsum(loss.loss(t, [y] * t) for t in range(1, horizon + 1))
+                    for y in comparators]
 
 
 @pytest.mark.parametrize("name", sorted(_stock_oblivious_losses()))
 def test_arm_totals_reject_horizons_the_loss_does_not_cover(name):
     loss = _stock_oblivious_losses()[name]
     if name == "constant":
-        assert loss.arm_totals([0] * 10 ** 4, 3)[1] == [2500.0] * 3
+        assert loss.arm_totals([0] * 10 ** 4, [0, 1, 2])[1] == [2500.0] * 3
         return
     # past the loss's own horizon: the error loss(41, ...) raises
     with pytest.raises(ValueError) as from_loss:
         loss.loss(41, [0] * 41)
     with pytest.raises(ValueError, match=f"^{from_loss.value}$"):
-        loss.arm_totals([0] * 41, 3)
+        loss.arm_totals([0] * 41, [0, 1, 2])
 
 
-@pytest.mark.parametrize("arm", [2, 5])
+@pytest.mark.parametrize("arm", [2, 5, -1, -3])
 def test_table_loss_arm_totals_reject_arms_outside_the_table(arm):
     loss = adv.TableLoss.from_seed(2, 40, 11)
-    with pytest.raises(ValueError, match=rf"^arm {arm} outside 0\.\.1$"):
+    match = rf"^arm {arm} outside 0\.\.1$"
+    with pytest.raises(ValueError, match=match):
         loss.loss(1, [arm])
-    # the first arm past the table is named, as loss names it
-    with pytest.raises(ValueError, match=r"^arm 2 outside 0\.\.1$"):
-        loss.arm_totals([0] * 40, arm + 1)
+    # a comparator or a played arm outside the table is named, as loss names it
+    with pytest.raises(ValueError, match=match):
+        loss.arm_totals([0] * 40, [0, arm, 1])
+    with pytest.raises(ValueError, match=match):
+        loss.arm_totals([0, 1, arm, 1], [0, 1])
     # a constant loss prices every arm alike, so it checks none
-    assert adv.ConstantLoss(0.25).arm_totals([0] * 3, arm + 1)[1] == [0.75] * (arm + 1)
+    assert adv.ConstantLoss(0.25).arm_totals([0] * 3, [arm])[1] == [0.75]
 
 
-@pytest.mark.parametrize("arm", [2, 7])
+@pytest.mark.parametrize("arm", [2, 7, -1, -2])
 def test_gap_walk_arm_totals_reject_arms_outside_the_loss(arm):
     walk = adv.MultiScaleWalk(0.2, 40, master_seed=3)
+    match = rf"^arm {arm} outside 0\.\.1$"
     for best in (None, 0, 1):
         loss = adv.GapWalkLoss(walk, 2, best, 0.1)
-        with pytest.raises(ValueError, match=rf"^arm {arm} outside 0\.\.1$"):
+        with pytest.raises(ValueError, match=match):
             loss.loss(1, [arm])
-        with pytest.raises(ValueError, match=r"^arm 2 outside 0\.\.1$"):
-            loss.arm_totals([0] * 40, arm + 1)
+        with pytest.raises(ValueError, match=match):
+            loss.arm_totals([0] * 40, [arm])
+        with pytest.raises(ValueError, match=match):
+            loss.arm_totals([1, arm], [0, 1])

@@ -230,7 +230,9 @@ class TestUsageErrors:
         assert cli.main(["analyze", str(csv), "--metric", "pseudo_regret",
                          "--bootstrap", "-5"]) == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and "error: --bootstrap" in captured.err
+        assert captured.out == "" and "error: --bootstrap must be >= 0, got -5" in captured.err
+        # the flag is checked before the CSV is read
+        assert cli.main(["analyze", str(tmp_path / "absent.csv"), "--bootstrap", "-1"]) == 1
 
 
 def test_io_error_exits_three(tmp_path):

@@ -189,6 +189,8 @@ def _int_parameters() -> dict:
          "batch_size", 1, "none"),
         ("fit_exponent", lambda v: analysis.fit_exponent([(v, 1.0), (20, 2.0), (30, 3.0)]),
          "horizon", 1, "points"),
+        ("bootstrap_exponent_ci", lambda v: analysis.bootstrap_exponent_ci(
+            {10: [1.0, 1.5], 20: [2.0, 2.5], 40: [4.0, 3.5]}, v), "resamples", 0, "none"),
     ]
     return {case: (call, name, least, keep) for case, call, name, least, keep in cases}
 
@@ -241,6 +243,12 @@ def _motivating_cases() -> dict:
         "width(walk_parent, 2.5)": (lambda: adv.width(adv.walk_parent, 2.5), "horizon"),
         "walk_value_matrix(0.1, 4.5, 1)": (lambda: adv.walk_value_matrix(0.1, 4.5, 1),
                                            "horizon"),
+        "run_seed(1.9, 0)": (lambda: run_seed(1.9, 0), "seed_base"),
+        "substream(2.7, 3)": (lambda: substream(2.7, 3), "master_seed"),
+        "GameConfig(4, Discrete(2), master_seed=2.5)": (
+            lambda: core.GameConfig(4, core.Discrete(2), master_seed=2.5), "master_seed"),
+        "bootstrap_exponent_ci(groups, True)": (
+            lambda: analysis.bootstrap_exponent_ci({10: [1.0], 20: [2.0]}, True), "resamples"),
     }
 
 
@@ -249,6 +257,31 @@ def test_silent_coercions_now_raise(case):
     call, name = _motivating_cases()[case]
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got "):
         call()
+
+
+#: seed parameters, which take any integer: a call taking the value and the
+#: parameter's name
+_SEED_PARAMETERS = {
+    "run_seed-seed_base": (lambda v: run_seed(v, 0), "seed_base"),
+    "run_seed-run_index": (lambda v: run_seed(0, v), "run_index"),
+    "substream-master_seed": (lambda v: substream(v, 3).random(), "master_seed"),
+    "substream-path": (lambda v: substream(0, 3, v).random(), "path id"),
+    "GameConfig-master_seed": (lambda v: core.GameConfig(4, core.Discrete(2), master_seed=v)
+                               .master_seed, "master_seed"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SEED_PARAMETERS))
+def test_seeds_follow_the_integer_rule_with_no_least_value(case):
+    call, name = _SEED_PARAMETERS[case]
+    for bad in (2.5, 2.0, True, np.bool_(True), "3", None):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got "
+                                              f"{re.escape(repr(bad))}$"):
+            call(bad)
+    # negative and numpy seeds act as the Python int of the same value
+    for good in (-(2 ** 70), -3, 0, 5, 2 ** 70):
+        assert call(np.int64(good) if abs(good) < 2 ** 63 else good) == call(good)
+    assert type(call(np.int64(5))) is type(call(5))
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +431,8 @@ def test_bools_nans_and_infinities_now_raise(case):
         call()
 
 
-#: messages of checks on data or on CLI flags, not on library parameters:
-#: a fit's values and ``analyze --bootstrap``
-_DATA_AND_FLAG_MESSAGES = {"values must be finite and strictly positive for a log-log fit",
-                           "--bootstrap must be >= 0 (0 = no interval)"}
+#: messages of checks on data, not on library parameters: a fit's values
+_DATA_MESSAGES = {"values must be finite and strictly positive for a log-log fit"}
 
 
 def _ad_hoc_parameter_checks(source: str) -> list:
@@ -430,7 +461,7 @@ def _ad_hoc_parameter_checks(source: str) -> list:
             text = node.value
         else:
             continue
-        if text not in _DATA_AND_FLAG_MESSAGES and any(phrase in text for phrase in retired):
+        if text not in _DATA_MESSAGES and any(phrase in text for phrase in retired):
             found.append((node.lineno, text))
     return found
 
@@ -1056,6 +1087,43 @@ class ForwardingCounter(CountingLoss):
         return getattr(self.inner, name)
 
 
+#: one loss of each class in ``adversaries`` that prices itself, from a seed,
+#: on arms 0..2 and rounds 1..64
+PRICING_LOSSES = {
+    "ConstantLoss": lambda seed: adv.ConstantLoss(float(np.random.default_rng(seed).random())),
+    "GapWalkLoss": lambda seed: adv.GapWalkLoss(adv.MultiScaleWalk(0.2, 64, master_seed=seed),
+                                                3, (None, 0, 1, 2)[seed % 4], 0.1),
+    "ParityTrapLoss": lambda seed: adv.ParityTrapLoss(seed % 2),
+    "TableLoss": lambda seed: adv.TableLoss.from_seed(3, 64, seed),
+}
+
+
+def test_every_loss_that_prices_itself_is_held_to_the_replay():
+    """Each public class in ``adversaries`` with ``arm_totals`` answers the
+    pricing call exactly as the call-by-call replay does, on random
+    histories and comparator lists, so no pricing method skips the oracle."""
+    pricing = {name for name, cls in vars(adv).items()
+               if isinstance(cls, type) and not name.startswith("_") and hasattr(cls, "arm_totals")}
+    assert pricing == set(PRICING_LOSSES)
+    rng = np.random.default_rng(28)
+    for name, make in sorted(PRICING_LOSSES.items()):
+        for seed in range(8):
+            loss = make(seed)
+            for horizon in (1, 2, int(rng.integers(3, 65)), 64):
+                actions = [int(a) for a in rng.integers(0, 3, horizon)]
+                if seed % 2:
+                    actions = [np.int64(a) for a in actions]
+                draws = [int(a) for a in rng.integers(0, 3, int(rng.integers(1, 7)))]
+                for comparators in ([0, 1, 2], [2, 1, 0], [1], draws,
+                                    [np.int64(y) for y in draws] + [0, 0]):
+                    priced = loss.arm_totals(actions, comparators)
+                    assert priced == core._replay_totals(loss.loss, actions, comparators)
+                    tr = core.run_game(make_config(horizon, arms=3), lrn.ScriptedLearner(actions),
+                                       loss, adv.NoDelay())
+                    assert (core.policy_regret(tr, loss, comparators)
+                            == core.policy_regret(tr, ReplayOnly(loss), comparators))
+
+
 #: (adversary, delay, delay_span, learner) for every oblivious CLI pairing
 OBLIVIOUS_PAIRINGS = [
     (adversary, delay, span, learner)
@@ -1194,18 +1262,24 @@ def test_a_loss_narrower_than_the_space_names_the_arm_it_lacks(name):
         for path in (loss, ReplayOnly(loss)):
             with pytest.raises(ValueError, match=match):
                 core.policy_regret(tr, path, comparators)
+    # comparators the loss has are priced alike on either path
+    for comparators in ([0, 1], [1, 0]):
+        assert (core.policy_regret(tr, loss, comparators)
+                == core.policy_regret(tr, ReplayOnly(loss), comparators))
 
 
-def test_unhashable_actions_keep_the_replay():
-    # a ball is not Discrete, so a loss with ``arm_totals`` is still replayed
+def test_constant_loss_prices_ball_points_without_loss_calls():
+    # a constant loss prices any comparator alike, a point of a ball included
     space = core.ConvexBall(2, 1.0, [(0.0, 0.0), (0.5, 0.0)])
     points = [np.array([0.1 * t, 0.0]) for t in range(1, 5)]
     loss = ForwardingCounter(adv.ConstantLoss(0.5))
     tr = core.run_game(core.GameConfig(4, space), lrn.ScriptedLearner(points), loss,
                        adv.NoDelay())
     loss.calls = 0
-    assert core.policy_regret(tr, loss) == core.RegretReport(2.0, 0.0, 0.0)
-    assert loss.calls == 5 * 4
+    report = core.policy_regret(tr, loss)
+    assert loss.calls == 0
+    assert report == core.RegretReport(2.0, 0.0, 0.0)
+    assert report == core.policy_regret(tr, ReplayOnly(loss.inner))
 
 
 def _trap_run(learner, horizon, seed):
@@ -1256,9 +1330,9 @@ def test_trap_totals_price_a_third_arm_like_the_arm_that_is_not_hidden():
             for comparators in (None, [2], [2, best], [1 - best, 2]):
                 assert (core.policy_regret(tr, loss, comparators)
                         == core.policy_regret(tr, ReplayOnly(loss), comparators))
-            _, constant, swapped = loss.arm_totals(tr.actions, 3)
-            assert constant[2] == constant[1 - best]
-            assert swapped[2] == swapped[1 - best]
+            _, constant, swapped = loss.arm_totals(tr.actions, [2, 1 - best])
+            assert constant[0] == constant[1]
+            assert swapped[0] == swapped[1]
 
 
 def test_trap_totals_name_the_tampered_round():
