@@ -24,6 +24,7 @@ from delaybandits import (
     censored_kl,
     drift_threshold,
     gap_walk_defaults,
+    gaussian_kl,
     observation_tv_bound,
     pinsker_tv,
     switch_bound,
@@ -72,7 +73,7 @@ def info_block(args):
     q = CensoredGaussian(0.75 - gap, sigma)
     kl = censored_kl(p, q)
     print(f"  per-round censored KL = {kl:.3e}  (gaussian (gap/sigma)^2/2 "
-          f"= {(gap / sigma) ** 2 / 2:.3e})")
+          f"= {gaussian_kl(0.75, 0.75 - gap, sigma):.3e})")
     print(f"  per-round Pinsker TV  = {pinsker_tv(kl):.3e}")
     w = width(walk_parent, T)
     tv = observation_tv_bound(gap, sigma, w, T / args.K)

@@ -4,9 +4,10 @@ regret-scaling fits, and accounting audits for wrapped runs.
 The censored Gaussian here is the law of a truncated observation: a
 Gaussian whose mass below the window collapses to an atom at the lower
 edge and above it to an atom at the upper edge, with the untouched density
-in between.  Its KL divergence is what bounds how distinguishable two
-observation streams are, and it never exceeds the plain Gaussian KL of the
-means.
+in between.  One :class:`CensoredGaussian` holds its log-space atoms and
+its density, which both the KL and the unit-mass check read.  The KL bounds
+how distinguishable two observation streams are; it never exceeds the plain
+Gaussian KL of the means.
 
 scipy is imported inside the censored-Gaussian functions, on their first
 call, so importing the package (and running ``run``, ``sweep`` or
@@ -21,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .adversaries import switch_bound
 from .core import check_int, check_real
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -53,42 +55,38 @@ class CensoredGaussian:
         if not self.lower < self.upper:
             raise ValueError("need lower < upper")
 
-    def atom_lower(self) -> float:
-        """Mass collapsed onto the lower edge."""
-        from scipy.special import ndtr
-        return float(ndtr((self.lower - self.mu) / self.sigma))
+    def log_atoms(self) -> tuple:
+        """Logs of the masses collapsed onto the lower and the upper edge,
+        Phi((lower - mu) / sigma) and Phi((mu - upper) / sigma).  Log-CDFs
+        keep them finite far into the tails, where the masses underflow."""
+        from scipy.special import log_ndtr
+        return (float(log_ndtr((self.lower - self.mu) / self.sigma)),
+                float(log_ndtr((self.mu - self.upper) / self.sigma)))
 
-    def atom_upper(self) -> float:
-        """Mass collapsed onto the upper edge."""
-        from scipy.special import ndtr
-        return float(ndtr((self.mu - self.upper) / self.sigma))
-
-    def density(self, x) -> np.ndarray:
+    def density(self, x: float) -> float:
         """Continuous density inside the open window, 0 outside."""
-        x = np.asarray(x, dtype=float)
+        if not self.lower < x < self.upper:
+            return 0.0
         z = (x - self.mu) / self.sigma
-        vals = np.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
-        return np.where((x > self.lower) & (x < self.upper), vals, 0.0)
+        return math.exp(-0.5 * z * z) / (self.sigma * _SQRT_2PI)
 
     def total_mass(self) -> float:
         """Atoms plus quadrature of the density; equals 1 up to the
         integrator's tolerance."""
         from scipy.integrate import quad
-        cont, _ = quad(
-            lambda x: float(self.density(x)), self.lower, self.upper,
-            epsabs=1e-10, limit=200,
-        )
-        return self.atom_lower() + self.atom_upper() + cont
+        cont, _ = quad(self.density, self.lower, self.upper, epsabs=1e-10, limit=200)
+        lower, upper = self.log_atoms()
+        return math.exp(lower) + math.exp(upper) + cont
 
 
 def censored_kl(p: CensoredGaussian, q: CensoredGaussian) -> float:
     """KL divergence between two censored Gaussians sharing sigma and
     window.
 
-    Exact atom terms plus adaptive quadrature of the continuous part (the
-    log density ratio is evaluated in closed form, so the integrand is
-    benign).  Atom logs go through log-CDFs to stay finite far into the
-    tails.  Returns 0.0 exactly when the means coincide.
+    Exact atom terms from both measures' :meth:`~CensoredGaussian.log_atoms`
+    plus adaptive quadrature of ``p``'s density times the log density
+    ratio, which is evaluated in closed form, so the integrand is benign.
+    Returns 0.0 exactly when the means coincide.
     """
     if p.sigma != q.sigma:
         raise ValueError("distributions must share sigma")
@@ -97,34 +95,21 @@ def censored_kl(p: CensoredGaussian, q: CensoredGaussian) -> float:
     if p.mu == q.mu:
         return 0.0
     from scipy.integrate import quad
-    from scipy.special import log_ndtr
 
-    sigma = p.sigma
     a, b = p.lower, p.upper
-    inv2s2 = 1.0 / (2.0 * sigma * sigma)
+    inv2s2 = 1.0 / (2.0 * p.sigma * p.sigma)
 
     def integrand(x: float) -> float:
-        zp = (x - p.mu) / sigma
-        dens = math.exp(-0.5 * zp * zp) / (sigma * _SQRT_2PI)
         log_ratio = ((x - q.mu) ** 2 - (x - p.mu) ** 2) * inv2s2
-        return dens * log_ratio
+        return p.density(x) * log_ratio
 
     interior = sorted(x for x in (p.mu, q.mu) if a < x < b)
-    cont, _ = quad(
-        integrand, a, b, epsabs=1e-10, limit=200,
-        points=interior if interior else None,
-    )
+    cont, _ = quad(integrand, a, b, epsabs=1e-10, limit=200, points=interior or None)
 
     total = cont
-    # lower atoms: Phi((a - mu) / sigma); upper atoms: Phi((mu - b) / sigma)
-    for zp, zq in (
-        ((a - p.mu) / sigma, (a - q.mu) / sigma),
-        ((p.mu - b) / sigma, (q.mu - b) / sigma),
-    ):
-        lp = float(log_ndtr(zp))
+    for lp, lq in zip(p.log_atoms(), q.log_atoms()):
         if lp == -math.inf:
             continue  # zero mass contributes zero regardless of q
-        lq = float(log_ndtr(zq))
         if lq == -math.inf:
             return math.inf
         total += math.exp(lp) * (lp - lq)
@@ -149,17 +134,16 @@ def observation_tv_bound(gap, sigma, width_value, best_arm_pulls) -> float:
     """Total-variation budget between the no-hidden-arm observation stream
     and the hidden-arm-i stream.
 
-    (gap / sigma) * sqrt(2 * width * gap * pulls / (1 - 8 gap)) where
+    (gap / sigma) * sqrt(width * switch_bound(gap, pulls) / 4) where
     ``pulls`` is the expected number of hidden-arm selections: each state
     switch leaks at most a gap-sized mean shift through ``width`` parent
-    links, and switches are budgeted by the carry dynamics.
+    links, and :func:`~.adversaries.switch_bound` budgets the switches.
     """
     gap = check_real("gap", gap, 0.0, 0.125, open_low=True, open_high=True)
     sigma = check_real("sigma", sigma, 0.0, math.inf, open_low=True, open_high=True)
     width_value = check_real("width_value", width_value, 0.0, math.inf, open_high=True)
     best_arm_pulls = check_real("best_arm_pulls", best_arm_pulls, 0.0, math.inf, open_high=True)
-    inner = 2.0 * width_value * gap * best_arm_pulls / (1.0 - 8.0 * gap)
-    return (gap / sigma) * math.sqrt(inner)
+    return (gap / sigma) * math.sqrt(width_value * switch_bound(gap, best_arm_pulls) / 4)
 
 
 def marginal_tv(samples_p: np.ndarray, samples_q: np.ndarray, bin_width: float) -> float:

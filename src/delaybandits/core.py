@@ -144,7 +144,7 @@ class ConvexBall:
         for p in grid:
             if len(p) != self.dimension:
                 raise ValueError(f"comparator point {p} has wrong dimension")
-            if not math.sqrt(sum(x * x for x in p)) <= self.radius + 1e-9:  # NaN too
+            if not self.contains(p):
                 raise ValueError(f"comparator point {p} lies outside the ball")
         object.__setattr__(self, "comparator_grid", grid)
 

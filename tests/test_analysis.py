@@ -34,9 +34,17 @@ class TestCensoredGaussian:
             analysis.CensoredGaussian(0.7, 0.1, 1.0, 0.5)
 
     def test_atoms_are_tail_masses(self):
-        p = analysis.CensoredGaussian(0.7, 0.1)
-        assert p.atom_lower() == pytest.approx(norm.cdf(0.5, 0.7, 0.1), rel=1e-12)
-        assert p.atom_upper() == pytest.approx(norm.sf(1.0, 0.7, 0.1), rel=1e-12)
+        lower, upper = analysis.CensoredGaussian(0.7, 0.1).log_atoms()
+        assert lower == pytest.approx(norm.logcdf(0.5, 0.7, 0.1), rel=1e-12)
+        assert upper == pytest.approx(norm.logsf(1.0, 0.7, 0.1), rel=1e-12)
+
+    def test_deep_tail_atom_stays_finite_in_log_space(self):
+        # the upper atom is Phi(-40), which underflows to 0 in plain form
+        lower, upper = analysis.CensoredGaussian(0.6, 0.01).log_atoms()
+        assert norm.sf(1.0, 0.6, 0.01) == 0.0
+        assert math.isfinite(upper)
+        assert upper == pytest.approx(norm.logsf(1.0, 0.6, 0.01), rel=1e-12)
+        assert lower == pytest.approx(norm.logcdf(0.5, 0.6, 0.01), rel=1e-12)
 
     def test_density_vanishes_outside_window(self):
         p = analysis.CensoredGaussian(0.7, 0.1)
@@ -49,6 +57,24 @@ class TestCensoredGaussian:
     def test_total_mass_is_one(self, mu, sigma):
         p = analysis.CensoredGaussian(mu, sigma)
         assert p.total_mass() == pytest.approx(1.0, abs=1e-9)
+
+
+def test_mass_and_kl_read_the_one_set_of_atoms_and_density(monkeypatch):
+    calls = {"log_atoms": 0, "density": 0}
+    for name in calls:
+        method = getattr(analysis.CensoredGaussian, name)
+
+        def counted(self, *args, _name=name, _method=method):
+            calls[_name] += 1
+            return _method(self, *args)
+
+        monkeypatch.setattr(analysis.CensoredGaussian, name, counted)
+    analysis.CensoredGaussian(0.7, 0.1).total_mass()
+    assert calls["log_atoms"] >= 1 and calls["density"] >= 1
+    calls.update(log_atoms=0, density=0)
+    analysis.censored_kl(analysis.CensoredGaussian(0.7, 0.1),
+                         analysis.CensoredGaussian(0.8, 0.1))
+    assert calls["log_atoms"] >= 2 and calls["density"] >= 1
 
 
 class TestCensoredKl:

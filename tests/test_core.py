@@ -62,6 +62,19 @@ class TestDiscrete:
         assert draws == {0, 1, 2, 3}
 
 
+@st.composite
+def edge_points(draw):
+    """A point whose norm lies within a few 1e-9 of the unit ball's edge."""
+    dimension = draw(st.sampled_from([2, 3, 5, 8]))
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=dimension,
+                               max_size=dimension)))
+    norm = float(np.linalg.norm(v))
+    if norm < 0.1:
+        v, norm = np.ones(dimension), math.sqrt(dimension)
+    scale = (1.0 + 1e-9 + draw(st.floats(-4e-16, 4e-16))) / norm
+    return tuple(float(x) for x in v * scale)
+
+
 class TestConvexBall:
     def test_contains(self):
         space = core.ConvexBall(2, 1.0, [(0.0, 0.0), (0.5, 0.5)])
@@ -84,6 +97,23 @@ class TestConvexBall:
             core.ConvexBall(2, 1.0, [(2.0, 0.0)])
         with pytest.raises(ValueError):
             core.ConvexBall(2, 1.0, [])
+        # a norm within rounding of the edge: a sum of squares passes it,
+        # np.linalg.norm (contains) does not
+        with pytest.raises(ValueError, match="lies outside the ball"):
+            core.ConvexBall(2, 1.0, [(-0.06373473825852194, 0.9979668757724969)])
+
+    @given(point=edge_points())
+    @example(point=(-0.06373473825852194, 0.9979668757724969))
+    @settings(max_examples=300, deadline=None)
+    def test_grid_accepts_exactly_the_points_contains_accepts(self, point):
+        dimension = len(point)
+        probe = core.ConvexBall(dimension, 1.0, [(0.0,) * dimension])
+        try:
+            ball = core.ConvexBall(dimension, 1.0, [(0.0,) * dimension, point])
+        except ValueError:
+            assert not probe.contains(point)
+        else:
+            assert all(ball.contains(p) for p in ball.comparators())
 
     @pytest.mark.parametrize("point", [(math.nan, 0.0), (0.0, math.nan), (math.inf, 0.0)])
     def test_grid_rejects_non_finite_points(self, point):

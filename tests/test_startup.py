@@ -1,7 +1,8 @@
 """Importing the package loads only what the simulator uses: scipy comes in
-on the first call of a censored-Gaussian tool, the process pool only when
-a sweep asks for workers, and the verification checks only when the CLI
-needs them.  ``checks`` builds its runs with ``cli``, which imports
+on the first call of a censored-Gaussian tool that needs it (the log
+atoms, and so the mass and the KL; the density is plain math), the process
+pool only when a sweep asks for workers, and the verification checks only
+when the CLI needs them.  ``checks`` builds its runs with ``cli``, which imports
 ``checks`` late, so either module also imports first on its own."""
 
 import json
@@ -22,10 +23,15 @@ from delaybandits import analysis
 at_import = sorted(m for m in sys.modules
                    if m == "scipy" or m.startswith("scipy.")
                    or m in ("concurrent.futures.process", "delaybandits.checks"))
-kl = analysis.censored_kl(analysis.CensoredGaussian(0.7, 0.2),
-                          analysis.CensoredGaussian(0.8, 0.2))
-print(json.dumps({"at_import": at_import, "kl": kl,
-                  "after_kl": "scipy.integrate" in sys.modules}))
+cg = analysis.CensoredGaussian(0.7, 0.2)
+density = cg.density(0.7)
+after_density = "scipy" in sys.modules
+cg.log_atoms()
+after_atoms = "scipy.special" in sys.modules
+kl = analysis.censored_kl(cg, analysis.CensoredGaussian(0.8, 0.2))
+print(json.dumps({"at_import": at_import, "density": density,
+                  "after_density": after_density, "after_atoms": after_atoms,
+                  "kl": kl, "after_kl": "scipy.integrate" in sys.modules}))
 """
 
 
@@ -39,6 +45,9 @@ def last_line(code: str) -> str:
 def test_import_loads_neither_scipy_nor_the_process_pool():
     report = json.loads(last_line(CHILD))
     assert report["at_import"] == []
+    assert report["density"] > 0.0
+    assert not report["after_density"]
+    assert report["after_atoms"]
     assert 0.0 < report["kl"] < float("inf")
     assert report["after_kl"]
     # checks imports cli at module level, so it must also load first
