@@ -200,8 +200,9 @@ class LossSplit:
     """Decomposition of one round's loss into delayed components.
 
     ``components[s]`` surfaces at round ``t + s``.  :func:`run_game` builds
-    one per round from the round, the realized loss and the tuple the
-    delay adversary returned.
+    one per run and refills it every round with the round, the realized
+    loss and the tuple the delay adversary returned; the transcript keeps
+    the tuple, never the record.
     """
 
     t: int
@@ -349,9 +350,10 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     loss is a real number in [0, 1] and neither a bool nor a numpy array,
     the delay adversary returns a tuple, that tuple is a valid split of the
     loss into d components (:func:`validate_split` on the engine's own
-    ``LossSplit(t, components, loss)``), and the learner only hears about
-    round t after acting in round t.  A :class:`SimulationError`, a bad d
-    included, is re-raised with ``(seed <master_seed>, <Loss>+<Delay>)``.
+    ``LossSplit``, built once per run and refilled each round with t, the
+    components and the loss), and the learner only hears about round t
+    after acting in round t.  A :class:`SimulationError`, a bad d included,
+    is re-raised with ``(seed <master_seed>, <Loss>+<Delay>)``.
 
     The cyclic garbage collector is paused while the rounds are played and
     restored afterwards.  Each round keeps a new component tuple alive, so
@@ -392,6 +394,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
         if not (type(d) is int and d >= 1):
             raise SplitError(f"delay adversary span {d!r} is not a positive int")
         pending = [0.0] * (d - 1)
+        split = LossSplit(0, (), 0.0)
         for t in range(1, config.horizon + 1):
             a = act(t)
             if not contains(a):
@@ -407,7 +410,10 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             comps = split_fn(t, actions, lv)
             if type(comps) is not tuple:
                 raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
-            split = validate_split(LossSplit(t, comps, lv), d)
+            split.t = t
+            split.components = comps
+            split.loss_value = lv
+            split = validate_split(split, d)
             obs = observe_aggregate(pending, split)
             push_split(pending, split)
             observe(t, a, obs)

@@ -864,6 +864,51 @@ def test_engine_rejects_non_number_components(comps):
                       adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))
 
 
+@pytest.mark.parametrize("d", [1, 2, 32])
+def test_engine_builds_one_split_record_per_run(monkeypatch, d):
+    built = []
+
+    class CountedSplit(core.LossSplit):
+        def __init__(self, *args):
+            built.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(core, "LossSplit", CountedSplit)
+    horizon = 64
+    seed = run_seed(3, d)
+    learner = lrn.UniformRandomLearner(3, substream(seed, LEARNER_STREAM))
+    tr = core.run_game(make_config(horizon, arms=3, seed=seed), learner,
+                       adv.TableLoss.from_seed(3, horizon, seed),
+                       adv.SeededSplitDelay(d, horizon, seed))
+    assert len(tr.components) == horizon and tr.delay_span == d
+    assert len(built) == 1
+
+
+def test_engine_refilled_split_record_leaks_nothing_between_rounds():
+    # Round 2 returns a component of -1e-13, which the engine clamps; the
+    # other rounds' tuples must come through as the very objects returned.
+    script = {1: (0.1, 0.2, 0.2), 2: (0.5 + 1e-13, -1e-13, 0.0),
+              3: (0.3, 0.1, 0.1), 4: (0.0, 0.25, 0.25)}
+    tr = core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
+                       adv.ConstantLoss(0.5), Forged(3, lambda t, lv: script[t]))
+    assert tr.components[1] == (0.5 + 1e-13, 0.0, 0.0)
+    assert math.copysign(1.0, tr.components[1][1]) == 1.0
+    assert all(tr.components[t - 1] is script[t] for t in (1, 3, 4))
+    assert tr.true_losses == (0.5,) * 4
+    due = {}
+    for t, comps in enumerate(tr.components, start=1):
+        for s, c in enumerate(comps):
+            due[t + s] = due.get(t + s, 0.0) + c
+    assert tr.observed == pytest.approx([due[t] for t in (1, 2, 3, 4)], abs=1e-12)
+
+    # an overfull split in a later round is named by that round
+    script[3] = (0.3, 0.2, 0.1)
+    with pytest.raises(core.SplitError, match=r"^round 3: components sum to .* "
+                                              r"\(seed 7, ConstantLoss\+Forged\)$"):
+        core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
+                      adv.ConstantLoss(0.5), Forged(3, lambda t, lv: script[t]))
+
+
 def test_engine_keeps_numpy_float_losses():
     for value in (np.float64(0.25), np.float32(0.5)):
         tr = core.run_game(make_config(3), lrn.ScriptedLearner([0] * 3),
