@@ -277,14 +277,18 @@ class GapWalkLoss(_ArmTable):
 
 
 def switch_bound(gap: float, best_arm_pulls) -> float:
-    """Budget on masking-state switches given pulls of the hidden arm.
+    """Budget on masking-state switches given pulls of the hidden arm:
+    2 + 8 * gap * pulls / (1 - 8 gap), for gap < 1/8.
 
-    Valid for gap < 1/8; the carry needs roughly 1/(4 gap) pulls of the
-    funding arm per direction, giving 8 * gap * pulls / (1 - 8 gap).
+    The first high -> low switch is free: the machine starts high with
+    carry 0 < gap.  Every low -> high switch follows a high -> low one.
+    Each later high -> low switch needs the carry to fall from above
+    1/4 - gap to below gap, and only a hidden-arm pull in the high state
+    lowers it, by at most gap; so it takes (1 - 8 gap) / (4 gap) of them.
     """
     gap = check_real("gap", gap, 0.0, 0.125, open_low=True, open_high=True)
     best_arm_pulls = check_real("best_arm_pulls", best_arm_pulls, 0.0, math.inf, open_high=True)
-    return 8.0 * gap * best_arm_pulls / (1.0 - 8.0 * gap)
+    return 2.0 + 8.0 * gap * best_arm_pulls / (1.0 - 8.0 * gap)
 
 
 class DelayStateMachine:

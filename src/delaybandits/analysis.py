@@ -1,5 +1,5 @@
 """Numeric verification tools: censored-Gaussian information bounds,
-regret-scaling fits, and accounting audits for wrapped runs.
+regret-scaling fits, and the observation accounting audit of wrapped runs.
 
 The censored Gaussian here is the law of a truncated observation: a
 Gaussian whose mass below the window collapses to an atom at the lower
@@ -269,19 +269,17 @@ def bootstrap_exponent_ci(groups: dict, resamples: int) -> Optional[tuple]:
 
 @dataclass(frozen=True)
 class DelayAudit:
-    """Outcome of the three accounting checks on a wrapped run.
+    """Outcome of the two accounting checks on a wrapped run.
 
     aggregate: total true loss minus total observed loss lies in
     [0, d - 1] (only the final d - 1 rounds can still be in flight).
-    batch sums: each complete batch observes at most tau + d - 1.
-    residuals: per batch, observed sum minus tau times the clipped batch
-    average lies in [0, d - 1].
+    batch sums: each complete batch observes at most tau + d - 1, so the
+    wrapper's clip of the batch average to 1 drops at most d - 1.
     """
 
     passed: bool
     aggregate_gap: float
     batch_sum_max: float
-    residual_max: float
     batch_count: int
     failures: tuple
 
@@ -309,7 +307,6 @@ def audit_delay_accounting(transcript, batch_size: int) -> DelayAudit:
     observed = transcript.observed
     n_batches = len(observed) // batch_size
     batch_sum_max = 0.0
-    residual_max = 0.0
     for j in range(n_batches):
         s = math.fsum(observed[j * batch_size : (j + 1) * batch_size])
         batch_sum_max = max(batch_sum_max, s)
@@ -317,19 +314,11 @@ def audit_delay_accounting(transcript, batch_size: int) -> DelayAudit:
             failures.append(
                 f"batch {j}: observed sum {s!r} exceeds {batch_size + slack}"
             )
-        estimate = min(s / batch_size, 1.0)
-        residual = s - batch_size * estimate
-        residual_max = max(residual_max, residual)
-        if not -_AUDIT_ATOL <= residual <= slack + _AUDIT_ATOL:
-            failures.append(
-                f"batch {j}: clip residual {residual!r} outside [0, {slack}]"
-            )
 
     return DelayAudit(
         passed=not failures,
         aggregate_gap=gap,
         batch_sum_max=batch_sum_max,
-        residual_max=residual_max,
         batch_count=n_batches,
         failures=tuple(failures),
     )

@@ -67,12 +67,12 @@ def test_drifting_construction_invariants_at_scale(capsys):
     inv = checks.construction_invariants(T, seeds=50, seed_base=0)
     elapsed = time.perf_counter() - t0
 
-    ok = (inv.runs == inv.carry_ok == inv.masked_ok == inv.split_ok
-          == inv.budget_ok == 50 and inv.both_cases and elapsed < 30.0)
+    ok = (inv.runs == inv.carry_ok == inv.masked_ok == inv.budget_ok == 50
+          and inv.both_cases and elapsed < 30.0)
     report(capsys, ok,
            f"construction invariants: {inv.runs} runs at T={T}, carry in [0, 1/4], "
            f"masked residual {inv.worst_residual:.1e}, switch budgets held "
-           f"({inv.hidden} hidden-arm runs), splits valid, {elapsed:.1f}s")
+           f"({inv.hidden} hidden-arm runs), {elapsed:.1f}s")
 
 
 def test_walk_width_and_drift_certificates(capsys):
@@ -97,17 +97,16 @@ def test_censored_kl_stays_below_gaussian_kl(capsys):
 
 def test_batch_accounting_audit_on_wrapper_sweeps(capsys):
     audits = passed = 0
-    worst_gap = worst_batch = worst_resid = -math.inf
+    worst_gap = worst_batch = -math.inf
 
     def run_and_audit(spec, horizon, rep):
-        nonlocal audits, passed, worst_gap, worst_batch, worst_resid
+        nonlocal audits, passed, worst_gap, worst_batch
         tr, _, _, tau = checks.play(spec, horizon, run_seed(spec.seed_base, rep))
         audit = audit_delay_accounting(tr, tau)
         audits += 1
         passed += audit.passed
         worst_gap = max(worst_gap, audit.aggregate_gap)
         worst_batch = max(worst_batch, audit.batch_sum_max)
-        worst_resid = max(worst_resid, audit.residual_max)
 
     drift = cli.ExperimentSpec(
         adversary="gapwalk", delay="statemachine", learner="wrapper-exp3",
@@ -130,8 +129,8 @@ def test_batch_accounting_audit_on_wrapper_sweeps(capsys):
     ok = audits == 50 and passed == 50
     report(capsys, ok,
            f"batch accounting: {passed}/{audits} wrapped runs pass the "
-           f"three-term audit (max aggregate gap {worst_gap:.3f}, max batch "
-           f"sum {worst_batch:.3f}, max clip residual {worst_resid:.3f})")
+           f"accounting audit (max aggregate gap {worst_gap:.3f}, max batch "
+           f"sum {worst_batch:.3f})")
 
 
 def test_regret_scaling_exponents(capsys):
@@ -196,4 +195,4 @@ def test_unit_batch_reduces_to_inner_learner(capsys):
     unit = checks.unit_batch_reduction(1_000, seeds=5, seed_base=8)
     report(capsys, unit.ok,
            f"unit-batch reduction: {unit.identical}/{unit.runs} seeds give "
-           f"bit-identical trajectories, max regret gap {unit.regret_gap}")
+           "bit-identical trajectories")

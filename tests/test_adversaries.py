@@ -305,7 +305,8 @@ def test_gap_walk_from_seed_covers_all_hidden_arms():
 
 
 def test_switch_bound_values_and_validation():
-    assert adv.switch_bound(0.1, 10) == pytest.approx(8 * 0.1 * 10 / (1 - 0.8), rel=1e-15)
+    assert adv.switch_bound(0.1, 10) == pytest.approx(2 + 8 * 0.1 * 10 / (1 - 0.8), rel=1e-15)
+    assert adv.switch_bound(0.1, 0) == 2.0
     with pytest.raises(ValueError):
         adv.switch_bound(0.125, 10)
     with pytest.raises(ValueError):
@@ -398,10 +399,11 @@ def test_machine_switch_budget_under_uniform_play():
 
 def test_machine_starving_policy_freezes_after_two_switches():
     # never pulling the hidden arm: one drop at round 1, one climb once the
-    # carry has been funded, then the carry pins just below the exit level
+    # carry has been funded, then the carry pins just below the exit level;
+    # the budget at 0 pulls is exactly those two free switches
     loss = adv.GapWalkLoss(zero_walk(400), 2, best_arm=0, gap=0.05)
     tr, dsm = run_masked(loss, [1] * 400)
-    assert dsm.switch_count == 2
+    assert dsm.switch_count == 2 == adv.switch_bound(loss.gap, 0)
     assert dsm.lows[-1] is False
     assert dsm.carries[-1] == pytest.approx(0.25, abs=0.05)
 
@@ -427,6 +429,24 @@ def test_masking_run_measures_what_the_machine_recorded():
             assert run.pulls == tr.actions.count(loss.best_arm)
         seen.add(run.switches > 0)
     assert seen == {False, True}
+
+
+@pytest.mark.parametrize("arm_count", [4, 8])
+def test_wrapped_exp3_switches_within_budget_beyond_two_arms(arm_count):
+    # the CLI's gapwalk + statemachine + wrapper-exp3: with more arms the
+    # hidden one is pulled less, and the two free switches matter
+    T = 2 ** 14
+    spec = cli.ExperimentSpec("gapwalk", "statemachine", "wrapper-exp3",
+                              horizons=(T,), arm_count=arm_count)
+    hidden = 0
+    for rep in range(12):
+        tr, loss, dsm, _ = checks.play(spec, T, run_seed(0, rep))
+        if loss.best_arm is None:
+            continue
+        hidden += 1
+        pulls = tr.actions.count(loss.best_arm)
+        assert dsm.switch_count <= adv.switch_bound(loss.gap, pulls), (rep, pulls)
+    assert hidden >= 6
 
 
 def test_machine_held_components_track_the_carry_bands():

@@ -153,7 +153,7 @@ def test_gaussian_kl_and_pinsker():
 
 def test_observation_tv_bound_formula():
     got = analysis.observation_tv_bound(0.05, 0.02, 4, 100)
-    want = (0.05 / 0.02) * math.sqrt(2 * 4 * 0.05 * 100 / (1 - 0.4))
+    want = (0.05 / 0.02) * math.sqrt(4 * (2 + 8 * 0.05 * 100 / (1 - 0.4)) / 4)
     assert got == pytest.approx(want, rel=1e-15)
     with pytest.raises(ValueError):
         analysis.observation_tv_bound(0.2, 0.02, 4, 100)
@@ -296,7 +296,6 @@ def test_audit_no_delay_is_exactly_tight():
     audit = analysis.audit_delay_accounting(tr, 4)
     assert audit.passed
     assert audit.aggregate_gap == pytest.approx(0.0, abs=1e-12)
-    assert audit.residual_max == pytest.approx(0.0, abs=1e-12)
     assert audit.batch_count == 32
 
 
@@ -330,12 +329,13 @@ def test_audit_flags_overfull_batch():
     # a batch summing to exactly tau + d - 1 sits on the boundary and passes
     boundary = fake_transcript([1.5, 1.5], [1.5, 1.5], 2)
     assert analysis.audit_delay_accounting(boundary, 2).passed
-    # 2.0 per round with tau = 2, d = 2 gives a batch sum of 4 > 3
-    over = fake_transcript([2.0, 2.0], [2.0, 2.0], 2)
+    # 2.0 per round with tau = 2, d = 2 gives batch sums of 4 > 3: one
+    # failure line per overfull batch, and the aggregate gap 0 passes
+    over = fake_transcript([2.0] * 4, [2.0] * 4, 2)
     audit = analysis.audit_delay_accounting(over, 2)
     assert not audit.passed
-    assert any("exceeds" in f for f in audit.failures)
-    assert any("residual" in f for f in audit.failures)
+    assert audit.failures == ("batch 0: observed sum 4.0 exceeds 3",
+                              "batch 1: observed sum 4.0 exceeds 3")
 
 
 def test_audit_flags_negative_aggregate_gap():
