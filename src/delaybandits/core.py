@@ -33,7 +33,7 @@ import gc
 import math
 from dataclasses import KW_ONLY, dataclass
 from functools import partial
-from itertools import repeat
+from itertools import compress, count, repeat
 from typing import Optional
 
 import numpy as np
@@ -218,7 +218,12 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     float, a wrong component count, or a sum off by more than SPLIT_ATOL
     (or NaN) raises :class:`SplitError`.  At d <= 2 a ``bool`` or
     ``numpy.bool_`` component is not a number either.  At d >= 3 bools are
-    not looked for: a type scan cost about 1 us per round at d = 32.
+    not looked for: a type scan cost about 1 us per round at d = 32.  A
+    component that compares with floats but cannot be added to one (a
+    ``Decimal``) may pass here; :func:`run_game` names it once the feedback
+    buffer fails to add it.  At d >= 3 :func:`push_split` adds only nonzero
+    components, so such a component that is zero and past slot 0 is never
+    touched and not caught.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -291,19 +296,40 @@ def push_split(pending: list, split: LossSplit) -> None:
     """Schedule the delayed components of ``split`` and advance one round.
 
     ``pending`` has length d - 1 for delay span d and is advanced in place.
+    At d >= 3 only the nonzero components are added, so the Python work
+    scales with them, not with d.  For float, int and numpy float64
+    components the floats are those of shifting every slot and adding every
+    component: a slot is never -0.0, so adding a zero of either sign leaves
+    it as it is, and the new last slot starts at 0.0, so a -0.0 component
+    is stored as 0.0.  (Adding a numpy float32 zero would round a slot to
+    float32; skipping it does not.)
     """
     comps = split.components
     d = len(pending) + 1
     if len(comps) != d:
         raise SplitError(f"round {split.t}: split width {len(comps)} != delay span {d}")
-    # drop the slot consumed this round, shift, add the new schedule; the
-    # last slot is 0.0 + c, not c, so a -0.0 component is stored as 0.0
     if d == 2:
-        pending[0] = 0.0 + comps[1]
+        pending[0] = 0.0 + comps[1]  # not comps[1]: a -0.0 component is stored as 0.0
     elif d > 2:
-        for k in range(d - 2):
-            pending[k] = pending[k + 1] + comps[k + 1]
-        pending[d - 2] = 0.0 + comps[d - 1]
+        # open the new last slot, add the nonzero components (slot 0 is the
+        # one consumed this round, so its sum is dropped with it)
+        pending.append(0.0)
+        for s in compress(count(), comps):
+            pending[s] += comps[s]
+        del pending[0]
+
+
+def _unaddable_component(split: LossSplit) -> Optional[SplitError]:
+    """The error naming the first component of ``split`` that float
+    arithmetic cannot add, or None if every one adds.  Runs only after the
+    split's check or the buffer has raised ``TypeError``."""
+    for i, c in enumerate(split.components):
+        try:
+            c + 0.0
+            0.0 + c
+        except TypeError:
+            return SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +378,10 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     loss into d components (:func:`validate_split` on the engine's own
     ``LossSplit``, built once per run and refilled each round with t, the
     components and the loss), and the learner only hears about round t
-    after acting in round t.  A :class:`SimulationError`, a bad d included,
-    is re-raised with ``(seed <master_seed>, <Loss>+<Delay>)``.
+    after acting in round t.  A component that float arithmetic cannot add
+    raises :class:`SplitError` once the check or the feedback buffer fails
+    on it.  A :class:`SimulationError`, a bad d included, is re-raised with
+    ``(seed <master_seed>, <Loss>+<Delay>)``.
 
     The cyclic garbage collector is paused while the rounds are played and
     restored afterwards.  Each round keeps a new component tuple alive, so
@@ -413,9 +441,15 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             split.t = t
             split.components = comps
             split.loss_value = lv
-            split = validate_split(split, d)
-            obs = observe_aggregate(pending, split)
-            push_split(pending, split)
+            try:
+                split = validate_split(split, d)
+                obs = observe_aggregate(pending, split)
+                push_split(pending, split)
+            except TypeError:
+                bad = _unaddable_component(split)
+                if bad is None:
+                    raise
+                raise bad from None
             observe(t, a, obs)
             true_losses.append(lv)
             components.append(split.components)

@@ -25,8 +25,9 @@ PAIRINGS = (
 
 #: spans that only appear if every patched or read name is still reached
 REQUIRED_SPANS = {
-    "core.validate_split", "core.push_split", "adversaries.split",
-    "adversaries.walk_materialize", "core.policy_regret", "learners.inner_observe",
+    "core.validate_split", "core.observe_aggregate", "core.push_split",
+    "adversaries.split", "adversaries.walk_materialize", "core.policy_regret",
+    "learners.inner_observe",
 }
 
 

@@ -6,6 +6,7 @@ import gc
 import math
 import pathlib
 import re
+from decimal import Decimal
 from itertools import product
 
 import numpy as np
@@ -633,6 +634,35 @@ def test_validate_split_matches_component_loop(case):
             == _split_outcome(util.reference_validate_split, d, comps, lv))
 
 
+#: zeros a split may carry, of either sign and type
+ZERO_COMPONENTS = st.sampled_from([0.0, -0.0, np.float64(0.0), np.float64(-0.0), 0, np.int64(0)])
+#: any component the buffer adds.  numpy floats are float64: adding a
+#: float32 zero rounds a slot to float32, which the slot loop does and the
+#: sparse shift, which skips zeros, does not.
+BUFFER_COMPONENTS = st.one_of(
+    ZERO_COMPONENTS,
+    st.floats(min_value=0.0, max_value=1.0),
+    st.floats(min_value=0.0, max_value=1.0).map(np.float64),
+    st.sampled_from([1, np.int64(1)]),
+)
+
+
+@st.composite
+def buffer_games(draw):
+    """A delay span in 1..40 and 1..40 rows of that width, each all zeros,
+    one-hot (like ``LastSlotDelay``'s) or dense."""
+    d = draw(st.integers(min_value=1, max_value=40))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        kind = draw(st.sampled_from(("zeros", "one-hot", "dense")))
+        row = draw(st.lists(BUFFER_COMPONENTS if kind == "dense" else ZERO_COMPONENTS,
+                            min_size=d, max_size=d))
+        if kind == "one-hot":
+            row[draw(st.integers(min_value=0, max_value=d - 1))] = draw(BUFFER_COMPONENTS)
+        rows.append(tuple(row))
+    return d, rows
+
+
 class TestPendingFeedback:
     def test_two_round_worked_example(self):
         # d=2: round 1 splits (0.2, 0.3), round 2 splits (0.4, 0.1).
@@ -654,7 +684,7 @@ class TestPendingFeedback:
         core.push_split(pending, s)
         assert pending == []
 
-    @pytest.mark.parametrize("d", [2, 3])
+    @pytest.mark.parametrize("d", [2, 3, 32])
     def test_negative_zero_component_is_stored_as_zero(self, d):
         pending = [0.0] * (d - 1)
         core.push_split(pending, core.LossSplit(1, (0.5,) + (-0.0,) * (d - 1), 0.5))
@@ -665,9 +695,14 @@ class TestPendingFeedback:
             core.push_split([0.0, 0.0], core.LossSplit(1, (0.1, 0.1), 0.2))
 
     @given(
-        d=st.integers(min_value=1, max_value=5),
+        d=st.integers(min_value=1, max_value=33),
         raw=st.lists(
-            st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=5, max_size=5),
+            st.one_of(
+                st.lists(st.floats(min_value=0.0, max_value=0.2), min_size=33, max_size=33),
+                st.dictionaries(st.integers(min_value=0, max_value=32),
+                                st.floats(min_value=0.0, max_value=0.2), max_size=3)
+                .map(lambda hot: [hot.get(s, 0.0) for s in range(33)]),
+            ),
             min_size=1,
             max_size=30,
         ),
@@ -675,7 +710,9 @@ class TestPendingFeedback:
     @settings(max_examples=150, deadline=None)
     def test_conservation_against_queue_model(self, d, raw):
         # Observed totals plus what is still pending must equal everything
-        # scheduled.  The oracle is a literal per-round delivery queue.
+        # scheduled.  The oracle is a literal per-round delivery queue.  Rows
+        # are dense or have at most three nonzero components, so wide spans
+        # reach the sparse shift.
         pending = [0.0] * (d - 1)
         due = {}
         observed = []
@@ -691,6 +728,22 @@ class TestPendingFeedback:
         total_in = math.fsum(math.fsum(row[:d]) for row in raw)
         leftover = math.fsum(pending)
         assert math.fsum(observed) + leftover == pytest.approx(total_in, abs=1e-9)
+
+    @given(buffer_games())
+    @example((32, [(0.0,) * 31 + (0.5,)] * 40))          # wide-delay's rows
+    @example((3, [(0.25, -0.0, 0.5), (-0.0, 0.5, -0.0), (0.0, -0.0, -0.0)]))
+    @example((4, [(0, np.int64(1), np.float64(-0.0), 1), (np.float64(0.5), 0, -0.0, 0.25)]))
+    @settings(max_examples=300, deadline=None)
+    def test_push_split_matches_slot_loop_bit_for_bit(self, game):
+        d, rows = game
+        fast, slow = [0.0] * (d - 1), [0.0] * (d - 1)
+        for t, comps in enumerate(rows, start=1):
+            split = core.LossSplit(t, comps, 0.0)
+            assert (float(core.observe_aggregate(fast, split)).hex()
+                    == float(core.observe_aggregate(slow, split)).hex())
+            core.push_split(fast, split)
+            util.reference_push_split(slow, split)
+            assert [float(p).hex() for p in fast] == [float(p).hex() for p in slow]
 
 
 # ---------------------------------------------------------------------------
@@ -855,10 +908,20 @@ def test_engine_rejects_delay_span_that_is_not_a_positive_int(span):
                       adv.ConstantLoss(0.5), Forged(span, lambda t, lv: (lv,)))
 
 
-@pytest.mark.parametrize("comps", [("a", 0.5), (None, 0.5), ("a",)], ids=["str", "none", "d1"])
+#: (d, slot) of a lone Decimal component: the first and the last slot
+DECIMAL_SLOTS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 2), (32, 0), (32, 31))
+
+
+# A Decimal compares with floats, so the split check can pass it; the
+# buffer's add fails on it, and the engine names the component.
+@pytest.mark.parametrize("comps", [
+    ("a", 0.5), (None, 0.5), ("a",),
+    *(tuple(Decimal("0.5") if s == slot else 0.0 for s in range(d)) for d, slot in DECIMAL_SLOTS),
+], ids=["str", "none", "d1", *(f"decimal-d{d}-slot{slot}" for d, slot in DECIMAL_SLOTS)])
 def test_engine_rejects_non_number_components(comps):
     d = len(comps)
-    with pytest.raises(core.SplitError, match=r"^round 1: component 0 \(.*\) is not a number "
+    slot = next(i for i, c in enumerate(comps) if type(c) is not float)
+    with pytest.raises(core.SplitError, match=rf"^round 1: component {slot} \(.*\) is not a number "
                                               r"\(seed 7, ConstantLoss\+Forged\)$"):
         core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
                       adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))

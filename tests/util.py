@@ -76,6 +76,18 @@ def reference_validate_split(split, delay_span):
     return split
 
 
+def reference_push_split(pending, split):
+    """The slot-by-slot shift that ``core.push_split`` must match bit for
+    bit: every slot takes the next one plus its component, zero or not,
+    and the new last slot is ``0.0 + c``, so a -0.0 component lands as 0.0."""
+    comps = split.components
+    d = len(pending) + 1
+    for k in range(d - 2):
+        pending[k] = pending[k + 1] + comps[k + 1]
+    if d > 1:
+        pending[d - 2] = 0.0 + comps[d - 1]
+
+
 def swap_and_restore_regret(loss_adversary, actions, comparators):
     """(policy regret, pseudo regret) with every total summed by
     ``math.fsum``: constant histories for the policy comparators, and for
