@@ -216,14 +216,20 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
     negative, any component exceeding the loss or not comparable with a
     float, a wrong component count, or a sum off by more than SPLIT_ATOL
-    (or NaN) raises :class:`SplitError`.  At d <= 2 a ``bool`` or
-    ``numpy.bool_`` component is not a number either.  At d >= 3 bools are
-    not looked for: a type scan cost about 1 us per round at d = 32.  A
-    component that compares with floats but cannot be added to one (a
-    ``Decimal``) may pass here; :func:`run_game` names it once the feedback
-    buffer fails to add it.  At d >= 3 :func:`push_split` adds only nonzero
-    components, so such a component that is zero and past slot 0 is never
-    touched and not caught.
+    (or NaN) raises :class:`SplitError`.  At d >= 3 the fast accept reads
+    the smallest component off ``sorted``: the sort compares C doubles
+    when every component is an exact float (others take the generic
+    comparisons) and is linear on an ascending split such as
+    :class:`LastSlotDelay`'s; on a shuffled dense split it is d log d and
+    slower than ``min`` from about d = 64 (three times at d = 1024).  A NaN
+    is rejected by the ``fsum`` total, not by the sign test.  At d <= 2 a
+    ``bool`` or ``numpy.bool_`` component is not a number either.  At
+    d >= 3 bools are not looked for: a type scan cost about 1 us per round
+    at d = 32.  A component that compares with floats but cannot be added
+    to one (a ``Decimal``) may pass here; :func:`run_game` names it once
+    the feedback buffer fails to add it.  At d >= 3 :func:`push_split` adds
+    only nonzero components, so such a component that is zero and past
+    slot 0 is never touched and not caught.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -245,11 +251,16 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     else:
         # Fast accept: a nonnegative component is at most the correctly
         # rounded sum, so the per-component cap follows from the cap on the
-        # sum.  A NaN fails the comparisons; it, infinities that make fsum
-        # raise, and components that are not numbers fall through.
+        # sum.  The sign test reads the smallest component off a sort, which
+        # compares C doubles when every component is an exact float (others
+        # take the generic comparisons) and runs once over an ascending
+        # split; it costs more than min() on a dense split from d = 64.  A
+        # NaN may sort anywhere, but it makes the fsum total NaN, which
+        # fails the sum tests.  So a NaN, infinities that make fsum raise
+        # and components that are not numbers fall through to the loop.
         try:
             total = math.fsum(comps)
-            if min(comps) >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+            if sorted(comps)[0] >= 0.0 and total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
                 return split
         except (OverflowError, TypeError, ValueError):
             pass

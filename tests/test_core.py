@@ -530,36 +530,79 @@ def test_parity_trap_and_gap_walk_keep_their_arm_ranges():
 # splits and pending feedback
 
 
+#: widths the named split cases run at: d = 2 takes the d <= 2 branch of
+#: ``validate_split``, d = 3 and 32 its d >= 3 fast accept
+SPLIT_WIDTHS = (2, 3, 32)
+
+
+def last_slot_split(t, d, tail, lv):
+    """A width-d split of zeros, then ``tail`` in the last slots, the shape
+    ``LastSlotDelay`` makes."""
+    return core.LossSplit(t, (0.0,) * (d - len(tail)) + tail, lv)
+
+
+def zeros_with(d, placed, lv):
+    """A width-d split of zeros with ``placed`` ({slot: value}) set."""
+    comps = [0.0] * d
+    for i, c in placed.items():
+        comps[i] = c
+    return core.LossSplit(4, tuple(comps), lv)
+
+
 class TestValidateSplit:
     def test_good_split_passes_through(self):
-        s = core.LossSplit(3, (0.2, 0.3), 0.5)
-        assert core.validate_split(s, 2) is s
+        for d in SPLIT_WIDTHS:
+            s = last_slot_split(3, d, (0.2, 0.3), 0.5)
+            assert core.validate_split(s, d) is s, d
 
     def test_tiny_negative_component_clamps_to_zero(self):
-        s = core.LossSplit(1, (-1e-13, 0.5 + 1e-13), 0.5)
-        out = core.validate_split(s, 2)
-        assert out.components[0] == 0.0
+        for d in SPLIT_WIDTHS:
+            s = last_slot_split(1, d, (-1e-13, 0.5 + 1e-13), 0.5)
+            out = core.validate_split(s, d)
+            assert out.components == (0.0,) * (d - 1) + (0.5 + 1e-13,), d
+            assert math.copysign(1.0, out.components[d - 2]) == 1.0, d
 
     def test_real_negative_component_rejected(self):
-        with pytest.raises(core.SplitError):
-            core.validate_split(core.LossSplit(1, (-1e-6, 0.5), 0.5 - 1e-6), 2)
+        for d in SPLIT_WIDTHS:
+            with pytest.raises(core.SplitError, match=f"^round 1: component {d - 2} is negative"):
+                core.validate_split(last_slot_split(1, d, (-1e-6, 0.5), 0.5 - 1e-6), d)
 
     def test_component_above_loss_rejected(self):
-        with pytest.raises(core.SplitError):
-            core.validate_split(core.LossSplit(1, (0.6, -0.1), 0.5), 2)
+        for d in SPLIT_WIDTHS:
+            with pytest.raises(core.SplitError, match=rf"^round 1: component {d - 2} \(0.6\) exceeds"):
+                core.validate_split(last_slot_split(1, d, (0.6, -0.1), 0.5), d)
 
     def test_wrong_width_rejected(self):
         with pytest.raises(core.SplitError):
             core.validate_split(core.LossSplit(1, (0.5,), 0.5), 2)
 
     def test_sum_mismatch_rejected(self):
-        with pytest.raises(core.SplitError):
-            core.validate_split(core.LossSplit(1, (0.2, 0.2), 0.5), 2)
+        for d in SPLIT_WIDTHS:
+            with pytest.raises(core.SplitError, match="^round 1: components sum to 0.4, loss is 0.5"):
+                core.validate_split(last_slot_split(1, d, (0.2, 0.2), 0.5), d)
 
-    @pytest.mark.parametrize("comps", [(math.nan, 0.5), (math.nan,)])
+    @pytest.mark.parametrize("comps", [
+        (math.nan, 0.5), (math.nan,),
+        (0.0, math.nan, 0.5), (0.0,) * 30 + (math.nan, 0.5),
+        # in the middle of the zeros: the sort leaves the NaN where it is
+        # and puts a 0.0 first, so only the fsum total can reject it
+        (0.0,) * 15 + (math.nan,) + (0.0,) * 15 + (0.5,),
+    ])
     def test_nan_component_rejected_with_round(self, comps):
         with pytest.raises(core.SplitError, match="round 4"):
             core.validate_split(core.LossSplit(4, comps, 0.5), len(comps))
+
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_tiny_negative_among_zeros_clamps_to_positive_zero(self, d):
+        mid = (d - 1) // 2
+        out = core.validate_split(zeros_with(d, {mid: -1e-13, d - 1: 0.5}, 0.5), d)
+        assert out.components == (0.0,) * (d - 1) + (0.5,)
+        assert math.copysign(1.0, out.components[mid]) == 1.0
+
+    @pytest.mark.parametrize("d", [3, 32])
+    def test_negative_first_slot_rejected(self, d):
+        with pytest.raises(core.SplitError, match=r"^round 4: component 0 is negative \(-1e-06\)"):
+            core.validate_split(zeros_with(d, {0: -1e-6, d - 1: 0.5}, 0.5 - 1e-6), d)
 
 
 ATOL = core.SPLIT_ATOL
@@ -570,18 +613,28 @@ PERTURBATIONS = (math.nan, -0.0, 0.0, math.inf, -math.inf, 1e308,
 
 @st.composite
 def adversarial_splits(draw):
-    """A near-valid split of width 1..33 with up to three components
-    overwritten by values at or past the edges of what validation accepts."""
+    """A near-valid split of width 1..33, dense or with the loss in one or
+    two of the first, middle and last slots and signed zeros elsewhere (as
+    ``LastSlotDelay`` splits), with up to three components overwritten by
+    values at or past the edges of what validation accepts."""
     d = draw(st.integers(min_value=1, max_value=33))
     lv = draw(st.one_of(
         st.floats(min_value=0.0, max_value=1.0),
         st.floats(min_value=0.0, max_value=ATOL, exclude_max=True),
         st.sampled_from([0.0, 1.0, math.nan, math.inf, 1e308]),
     ))
-    weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
-                            min_size=d, max_size=d))
-    total = math.fsum(weights)
-    comps = [lv * w / total if total > 0.0 else lv / d for w in weights]
+    if draw(st.booleans()):
+        weights = draw(st.lists(st.floats(min_value=0.0, max_value=1.0),
+                                min_size=d, max_size=d))
+        total = math.fsum(weights)
+        comps = [lv * w / total if total > 0.0 else lv / d for w in weights]
+    else:
+        comps = draw(st.lists(st.sampled_from([0.0, -0.0]), min_size=d, max_size=d))
+        slots = draw(st.lists(st.sampled_from([0, d // 2, d - 1]),
+                              min_size=1, max_size=2, unique=True))
+        share = lv * draw(st.floats(min_value=0.0, max_value=1.0))
+        for s, c in zip(slots, (share, lv - share) if len(slots) == 2 else (lv,)):
+            comps[s] = c
     for _ in range(draw(st.integers(min_value=0, max_value=3))):
         i = draw(st.integers(min_value=0, max_value=d - 1))
         kind = draw(st.sampled_from(PERTURBATIONS))
@@ -625,6 +678,10 @@ def _split_outcome(check, d, comps, lv):
 @example((2, (0.0, np.bool_(True)), 1.0))
 @example((2, (-1.0, True), 1.0))                          # the first bad component is named
 @example((3, (True, 0.0, 0.0), 1.0))                      # d >= 3 does not look for bools
+@example((32, (0.0,) * 15 + (math.nan,) + (0.0,) * 15 + (0.5,), 0.5))  # a 0.0 sorts first
+@example((32, (0.0,) * 15 + (-1e-13,) + (0.0,) * 15 + (0.5,), 0.5))    # clamps to +0.0
+@example((32, (0.5,) + (0.0,) * 31, 0.5))                              # one-hot in slot 0
+@example((32, (0,) * 15 + (np.float64(0.0),) + (-0.0,) * 14 + (np.float64(0.25), 0.25), 0.5))
 @example((2, (-ATOL, 0.5 + ATOL), 0.5))
 @example((1, (5e-13,), 0.0))
 @settings(max_examples=600, deadline=None)
