@@ -285,7 +285,8 @@ def _verify_splits() -> list:
         learner = lrn.UniformRandomLearner(3, substream(spec_seed, LEARNER_STREAM))
         tr = core.run_game(config, learner, loss, delay)
         recon_ok = all(
-            abs(math.fsum(tr.components[t - 1 - s][s] for s in range(min(d, t))) - obs) <= 1e-9
+            abs(math.fsum(tr.flat_components[(t - 1 - s) * d + s] for s in range(min(d, t)))
+                - obs) <= 1e-9
             for t, obs in enumerate(tr.observed, start=1)
         )
         lines.append((recon_ok, f"d={d}: observed losses reconstruct from scheduled components"))

@@ -320,8 +320,9 @@ def fake_transcript(observed, true_losses, d):
         config=cfg,
         actions=(0,) * len(observed),
         true_losses=tuple(true_losses),
-        components=((0.0,) * d,) * len(observed),
         observed=tuple(observed),
+        delay_span=d,
+        flat_components=[0.0] * (d * len(observed)),
     )
 
 

@@ -857,7 +857,35 @@ def test_engine_rejects_bad_action():
                       adv.ConstantLoss(0.5), adv.NoDelay())
 
 
-def test_engine_pauses_cyclic_gc_only_while_playing():
+def tracked_objects_kept_by_a_run(horizon):
+    """Objects the cyclic collector tracks that a held transcript of a
+    d = 3 run adds, counted with no collection during the run."""
+    seed = run_seed(5, horizon)
+    learner = lrn.UniformRandomLearner(3, substream(seed, LEARNER_STREAM))
+    loss = adv.TableLoss.from_seed(3, horizon, seed)
+    delay = adv.SeededSplitDelay(3, horizon, seed)
+    gc.collect()
+    gc.disable()
+    try:
+        before = len(gc.get_objects())
+        tr = core.run_game(make_config(horizon, arms=3, seed=seed), learner, loss, delay)
+        return len(gc.get_objects()) - before, tr
+    finally:
+        gc.enable()
+
+
+def test_engine_keeps_no_tracked_object_per_round():
+    # a collection after a run has nothing per round to walk: the held
+    # transcript adds as many tracked objects at T = 4096 as at T = 256
+    short, short_tr = tracked_objects_kept_by_a_run(256)
+    long, long_tr = tracked_objects_kept_by_a_run(4096)
+    assert len(long_tr.flat_components) == 4096 * 3
+    assert abs(long - short) <= 8, (short, long)
+    assert short <= 32, short
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_engine_leaves_the_collector_as_the_caller_set_it(enabled):
     seen = []
 
     class GcSpy(SpyLearner):
@@ -865,22 +893,17 @@ def test_engine_pauses_cyclic_gc_only_while_playing():
             seen.append(gc.isenabled())
             return 0
 
-    assert gc.isenabled()
-    core.run_game(make_config(3), GcSpy(), adv.ConstantLoss(0.5), adv.NoDelay())
-    assert seen == [False] * 3 and gc.isenabled()
-
-    # restored when a round raises, and left off when the caller had it off
     class Rogue(GcSpy):
         def act(self, t):
             return 7
 
-    with pytest.raises(core.ActionError):
-        core.run_game(make_config(2), Rogue(), adv.ConstantLoss(0.5), adv.NoDelay())
-    assert gc.isenabled()
-    gc.disable()
+    (gc.enable if enabled else gc.disable)()
     try:
-        core.run_game(make_config(2), GcSpy(), adv.ConstantLoss(0.5), adv.NoDelay())
-        assert not gc.isenabled()
+        core.run_game(make_config(3), GcSpy(), adv.ConstantLoss(0.5), adv.NoDelay())
+        assert seen == [enabled] * 3 and gc.isenabled() is enabled
+        with pytest.raises(core.ActionError):
+            core.run_game(make_config(2), Rogue(), adv.ConstantLoss(0.5), adv.NoDelay())
+        assert gc.isenabled() is enabled
     finally:
         gc.enable()
 
@@ -984,6 +1007,21 @@ def test_engine_rejects_non_number_components(comps):
                       adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))
 
 
+# A Decimal NaN raises InvalidOperation, an ArithmeticError, on comparing;
+# the check names it like any other component that is not a number.
+@pytest.mark.parametrize("comps, slot", [
+    ((Decimal("NaN"), 0.5), 0),
+    ((0.0, 0.0, Decimal("NaN")), 2),
+    ((0.5, 0.0, Decimal("sNaN")), 2),
+], ids=["nan-d2", "nan-d3", "snan-d3"])
+def test_engine_names_decimal_nan_components(comps, slot):
+    message = (f"round 1: component {slot} ({comps[slot]!r}) is not a number "
+               "(seed 7, ConstantLoss+Forged)")
+    with pytest.raises(core.SplitError, match=f"^{re.escape(message)}$"):
+        core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
+                      adv.ConstantLoss(0.5), Forged(len(comps), lambda t, lv: comps))
+
+
 @pytest.mark.parametrize("d", [1, 2, 32])
 def test_engine_builds_one_split_record_per_run(monkeypatch, d):
     built = []
@@ -1013,7 +1051,9 @@ def test_engine_refilled_split_record_leaks_nothing_between_rounds():
                        adv.ConstantLoss(0.5), Forged(3, lambda t, lv: script[t]))
     assert tr.components[1] == (0.5 + 1e-13, 0.0, 0.0)
     assert math.copysign(1.0, tr.components[1][1]) == 1.0
-    assert all(tr.components[t - 1] is script[t] for t in (1, 3, 4))
+    for t in (1, 3, 4):
+        assert tr.components[t - 1] == script[t]
+        assert all(c is r for c, r in zip(tr.components[t - 1], script[t]))
     assert tr.true_losses == (0.5,) * 4
     due = {}
     for t, comps in enumerate(tr.components, start=1):
@@ -1027,6 +1067,43 @@ def test_engine_refilled_split_record_leaks_nothing_between_rounds():
                                               r"\(seed 7, ConstantLoss\+Forged\)$"):
         core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
                       adv.ConstantLoss(0.5), Forged(3, lambda t, lv: script[t]))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5])
+def test_transcript_keeps_components_flat_in_round_order(d):
+    # every fifth round at d >= 2 carries a -1e-13 in slot 1, which the
+    # engine clamps; every other component is the very object returned
+    horizon = 40
+    seed = run_seed(6, d)
+    inner = adv.SeededSplitDelay(d, horizon, seed)
+    returned = {}
+
+    class Recording:
+        delay_span = d
+
+        def split(self, t, actions, loss_value):
+            comps = inner.split(t, actions, loss_value)
+            if d >= 2 and t % 5 == 0:
+                comps = (comps[0] + comps[1] + 1e-13, -1e-13) + comps[2:]
+            returned[t] = comps
+            return comps
+
+    learner = lrn.UniformRandomLearner(3, substream(seed, LEARNER_STREAM))
+    tr = core.run_game(make_config(horizon, arms=3, seed=seed), learner,
+                       adv.TableLoss.from_seed(3, horizon, seed), Recording())
+    assert len(tr.flat_components) == horizon * d
+    assert tr.delay_span == d
+    assert len(tr.components) == len(returned) == horizon
+    for t, comps in returned.items():
+        row = tr.components[t - 1]
+        if d >= 2 and t % 5 == 0:
+            assert row == (comps[0], 0.0) + comps[2:]
+            assert math.copysign(1.0, row[1]) == 1.0
+            continue
+        assert row == comps
+        for s, c in enumerate(comps):
+            assert tr.flat_components[(t - 1) * d + s] is c
+            assert row[s] is c
 
 
 def test_engine_keeps_numpy_float_losses():
