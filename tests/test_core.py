@@ -720,6 +720,37 @@ def buffer_games(draw):
     return d, rows
 
 
+POSITIVE_COMPONENTS = st.one_of(st.floats(min_value=1e-3, max_value=0.25),
+                                st.floats(min_value=1e-3, max_value=0.25).map(np.float64))
+
+
+@st.composite
+def shared_slot_games(draw):
+    """A span in {3, 4, 32, 33} and 1..10 valid rows: one-hot, two-hot or
+    dense, with zeros of mixed kinds and, in some rows, up to two
+    components in [-SPLIT_ATOL, 0) that the check clamps.  The slots of
+    the nonzero components move from row to row."""
+    d = draw(st.sampled_from((3, 4, 32, 33)))
+    rows = []
+    for _ in range(draw(st.integers(min_value=1, max_value=10))):
+        kind = draw(st.sampled_from(("one-hot", "two-hot", "dense")))
+        if kind == "dense":
+            row = draw(st.lists(st.one_of(POSITIVE_COMPONENTS, ZERO_COMPONENTS),
+                                min_size=d, max_size=d))
+        else:
+            zeros = draw(st.lists(ZERO_COMPONENTS, min_size=1, max_size=3))
+            row = [zeros[s % len(zeros)] for s in range(d)]
+            hot = draw(st.lists(st.integers(min_value=0, max_value=d - 1),
+                                min_size=1 if kind == "one-hot" else 2,
+                                max_size=1 if kind == "one-hot" else 2, unique=True))
+            for s in hot:
+                row[s] = draw(POSITIVE_COMPONENTS)
+        for s in draw(st.lists(st.integers(min_value=0, max_value=d - 1), max_size=2)):
+            row[s] = draw(st.floats(min_value=-ATOL, max_value=0.0, exclude_max=True))
+        rows.append(tuple(row))
+    return d, rows
+
+
 class TestPendingFeedback:
     def test_two_round_worked_example(self):
         # d=2: round 1 splits (0.2, 0.3), round 2 splits (0.4, 0.1).
@@ -800,6 +831,30 @@ class TestPendingFeedback:
                     == float(core.observe_aggregate(slow, split)).hex())
             core.push_split(fast, split)
             util.reference_push_split(slow, split)
+            assert [float(p).hex() for p in fast] == [float(p).hex() for p in slow]
+
+    @given(shared_slot_games())
+    @example((32, [(0.0,) * 31 + (0.5,), (0.5,) + (0.0,) * 31, (-0.0,) * 16 + (0.5,) + (0,) * 15]))
+    @example((3, [(0.25, -ATOL / 2, 0.25), (0.0, 0.5, np.int64(0)), (np.float64(-0.0), 0, 0.5)]))
+    @settings(max_examples=150, deadline=None)
+    def test_validated_nonzero_slots_never_go_stale(self, game):
+        # One record, refilled as run_game refills it: the slots that
+        # validate_split leaves for push_split are always this row's.
+        d, rows = game
+        split = core.LossSplit(0, (), 0.0)
+        fast, slow = [0.0] * (d - 1), [0.0] * (d - 1)
+        for t, comps in enumerate(rows, start=1):
+            lv = math.fsum(c for c in comps if c > 0.0)
+            split.t, split.components, split.loss_value = t, comps, lv
+            split = core.validate_split(split, d)
+            seen = core.observe_aggregate(fast, split)
+            core.push_split(fast, split)
+            ref = util.reference_validate_split(core.LossSplit(t, comps, lv), d)
+            checked = ref.components
+            assert [float(c).hex() for c in split.components] == [float(c).hex() for c in checked]
+            assert split.nonzero == [s for s, c in enumerate(checked) if c]
+            assert float(seen).hex() == float(checked[0] + slow[0]).hex()
+            util.reference_push_split(slow, ref)
             assert [float(p).hex() for p in fast] == [float(p).hex() for p in slow]
 
 
@@ -1022,6 +1077,44 @@ def test_engine_names_decimal_nan_components(comps, slot):
                       adv.ConstantLoss(0.5), Forged(len(comps), lambda t, lv: comps))
 
 
+#: (array, the loss left for the slot at the other end) of the array cases
+ARRAY_COMPONENTS = {"two-element": (np.array([0.1, 0.2]), 0.5),
+                    "one-element": (np.array([0.0]), 0.5),
+                    "0d": (np.array(0.5), 0.0)}
+
+
+def _array_case_params():
+    for (name, (array, rest)), d, slot in product(ARRAY_COMPONENTS.items(), (2, 3), ("first", "last")):
+        marks = ()
+        if name == "0d" and d >= 3:
+            marks = pytest.mark.xfail(strict=True, reason=(
+                "a 0-d array converts in the fsum total and compares like a float, so the "
+                "d >= 3 fast accept keeps it; no type test per slot (CHANGES.md FOUND)"))
+        yield pytest.param(array, rest, d, 0 if slot == "first" else d - 1,
+                           id=f"{name}-d{d}-{slot}", marks=marks)
+
+
+# An array compares and converts elementwise: its truth value raises, or a
+# one-element array slips through the comparisons and then fails fsum.  The
+# check names it as not a number at every d.
+@pytest.mark.parametrize("array, rest, d, slot", _array_case_params())
+def test_engine_names_numpy_array_components(array, rest, d, slot):
+    def make(t, lv):
+        comps = [0.0] * d
+        if t != 2:
+            comps[0] = lv
+            return tuple(comps)
+        comps[slot] = array
+        comps[d - 1 - slot] = rest
+        return tuple(comps)
+
+    message = (f"round 2: component {slot} ({array!r}) is not a number "
+               "(seed 7, ConstantLoss+Forged)")
+    with pytest.raises(core.SplitError, match=f"^{re.escape(message)}$"):
+        core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
+                      adv.ConstantLoss(0.5), Forged(d, make))
+
+
 @pytest.mark.parametrize("d", [1, 2, 32])
 def test_engine_builds_one_split_record_per_run(monkeypatch, d):
     built = []
@@ -1111,6 +1204,72 @@ def test_engine_keeps_numpy_float_losses():
         tr = core.run_game(make_config(3), lrn.ScriptedLearner([0] * 3),
                            ScriptedLoss([value] * 3), adv.NoDelay())
         assert tr.true_losses == (value,) * 3
+
+
+def _admitted_pairings() -> list:
+    pairings = []
+    for adversary, (delay, span), learner, arms, memory in product(
+            cli.ADVERSARIES, (("none", 0), ("parity", 0), ("statemachine", 0), ("lastslot", 0),
+                              ("lastslot", 3), ("lastslot", 32)),
+            cli.LEARNERS, (2, 3, 5), (0, 1)):
+        try:
+            pairings.append(cli.ExperimentSpec(adversary=adversary, delay=delay, learner=learner,
+                                               arm_count=arms, delay_span=span,
+                                               memory_bound=memory))
+        except cli.UsageError:
+            pass
+    return pairings
+
+
+#: every pairing ExperimentSpec admits, at K in {2, 3, 5}, d in {2, 3, 32}
+#: for the last-slot delay, and memory bound 0 or 1
+ADMITTED_PAIRINGS = _admitted_pairings()
+
+
+class ClampedLastSlotDelay(adv.LastSlotDelay):
+    """The last-slot split, with 1e-13 of the loss moved out of a zero slot
+    every third round: a -1e-13 component, which the check clamps."""
+
+    def split(self, t, actions, loss_value):
+        comps = super().split(t, actions, loss_value)
+        if t % 3:
+            return comps
+        s = t % (self.delay_span - 1)
+        return comps[:s] + (-1e-13,) + comps[s + 1:-1] + (comps[-1] + 1e-13,)
+
+
+@st.composite
+def reference_games(draw):
+    """(spec, delay kind, d, horizon, seed): a pairing ExperimentSpec admits,
+    played with its own delay or with a seeded dense or a clamped last-slot
+    delay of width d in {3, 32} in its place."""
+    spec = draw(st.sampled_from(ADMITTED_PAIRINGS))
+    horizon = draw(st.integers(min_value=3 if spec.adversary == "gapwalk" else 1, max_value=256))
+    delay = draw(st.sampled_from(("spec", "seeded", "clamped")))
+    return spec, delay, draw(st.sampled_from((3, 32))), horizon, draw(st.integers(0, 2 ** 32))
+
+
+def _play(engine, spec, delay_kind, d, horizon, seed):
+    config, learner, loss, delay, _ = cli._build_run(spec, horizon, seed)
+    if delay_kind == "seeded":
+        delay = adv.SeededSplitDelay(d, horizon, seed)
+    elif delay_kind == "clamped":
+        delay = ClampedLastSlotDelay(d)
+    tr = engine(config, learner, loss, delay)
+    state = getattr(getattr(learner, "inner", learner), "cum_loss_est", ())
+    hexes = lambda xs: [float(x).hex() for x in xs]
+    return (tr.actions, hexes(tr.true_losses), hexes(tr.observed), tr.delay_span,
+            hexes(tr.flat_components), hexes(state))
+
+
+@given(reference_games())
+@example((cli.ExperimentSpec(adversary="iid", delay="lastslot", delay_span=32), "spec", 3, 256, 0))
+@example((cli.ExperimentSpec(adversary="constant", delay="none", learner="exp3"), "clamped", 32, 40, 1))
+@settings(max_examples=200, deadline=None)
+def test_run_game_matches_the_reference_engine(game):
+    # the whole run against the protocol written plainly: same actions, and
+    # the same floats for every loss, observation, component and EXP3 state
+    assert _play(core.run_game, *game) == _play(util.reference_run_game, *game)
 
 
 #: junk a learner, a loss or a split component might hand the engine

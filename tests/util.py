@@ -12,7 +12,8 @@ import math
 import numpy as np
 from scipy.stats import norm
 
-from delaybandits.core import SPLIT_ATOL, SplitError, check_int
+from delaybandits.core import (SPLIT_ATOL, ActionError, LossRangeError, LossSplit,
+                               SimulationError, SplitError, Transcript, check_int)
 
 
 def naive_constant_regret(loss_adversary, actions, comparators):
@@ -45,7 +46,8 @@ def naive_one_swap_regret(loss_adversary, actions, comparators):
 def reference_validate_split(split, delay_span):
     """The component-by-component split check that ``core.validate_split``
     must agree with: same returned components, or the same ``SplitError``
-    message.  At d <= 2 a bool or numpy bool component is not a number."""
+    message.  A numpy array component is not a number at any d, and at
+    d <= 2 neither is a bool or numpy bool."""
     comps = split.components
     if len(comps) != delay_span:
         raise SplitError(
@@ -54,7 +56,7 @@ def reference_validate_split(split, delay_span):
     lv = split.loss_value
     clamped = None
     for i, c in enumerate(comps):
-        if delay_span <= 2 and isinstance(c, (bool, np.bool_)):
+        if isinstance(c, np.ndarray) or delay_span <= 2 and isinstance(c, (bool, np.bool_)):
             raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
         if c < 0.0:
             if c < -SPLIT_ATOL:
@@ -86,6 +88,43 @@ def reference_push_split(pending, split):
         pending[k] = pending[k + 1] + comps[k + 1]
     if d > 1:
         pending[d - 2] = 0.0 + comps[d - 1]
+
+
+def reference_run_game(config, learner, loss_adversary, delay_adversary):
+    """The game that ``core.run_game`` must play bit for bit, written with
+    no fast path: each round the learner acts, the loss adversary prices
+    the history, and the delay adversary cuts the loss into d components.
+    A fresh record of the round is checked by ``reference_validate_split``;
+    the learner observes component 0 plus what earlier rounds left due now,
+    and the slot-by-slot buffer shifts.  One tuple of checked components is
+    kept per round.  A protocol violation gets the seed and the pairing."""
+    d = delay_adversary.delay_span
+    pending = [0.0] * (d - 1)
+    actions, losses, observed, rows = [], [], [], []
+    try:
+        for t in range(1, config.horizon + 1):
+            action = learner.act(t)
+            if not config.action_space.contains(action):
+                raise ActionError(f"round {t}: action {action!r} outside the action space")
+            actions.append(action)
+            lv = loss_adversary.loss(t, actions)
+            if isinstance(lv, (bool, np.bool_, np.ndarray)) or not 0.0 <= lv <= 1.0:
+                raise LossRangeError(f"round {t}: loss {lv!r} is not a real number in [0, 1]")
+            comps = delay_adversary.split(t, actions, lv)
+            if type(comps) is not tuple:
+                raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
+            split = reference_validate_split(LossSplit(t, comps, lv), d)
+            seen = split.components[0] + (pending[0] if d > 1 else 0.0)
+            reference_push_split(pending, split)
+            learner.observe(t, action, seen)
+            losses.append(lv)
+            observed.append(seen)
+            rows.append(split.components)
+    except SimulationError as e:
+        raise type(e)(f"{e} (seed {config.master_seed}, "
+                      f"{type(loss_adversary).__name__}+{type(delay_adversary).__name__})") from e
+    return Transcript(config, tuple(actions), tuple(losses), tuple(observed), d,
+                      [c for row in rows for c in row])
 
 
 def swap_and_restore_regret(loss_adversary, actions, comparators):
