@@ -103,7 +103,9 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
 
     The machine starts high, so a first round in the low state counts as
     a switch.  Splits are not checked here: ``run_game`` already held every
-    round's split to :func:`~.core.validate_split`.
+    round's split to the split rule.  The machine plays at d = 2, so that
+    is ``run_game``'s own fast accept, and :func:`~.core.validate_split`
+    only for a split the accept refuses; both hold it to the same rule.
     """
     spec = cli.ExperimentSpec("gapwalk", "statemachine", "uniform",
                               horizons=(horizon,), arm_count=arm_count)

@@ -202,8 +202,9 @@ class LossSplit:
     """Decomposition of one round's loss into delayed components.
 
     ``components[s]`` surfaces at round ``t + s``.  :func:`run_game` builds
-    one per run and refills it every round with the round, the realized
-    loss and the tuple the delay adversary returned; the transcript keeps
+    one per run and refills it with the round, the realized loss and the
+    tuple the delay adversary returned, every round at d >= 3 and at d <= 2
+    for each split its own fast accept refuses; the transcript keeps
     the components, never the record.  ``nonzero`` lists the slots of the
     nonzero components, ascending: every successful return of
     :func:`validate_split` at d >= 3 sets it from the components it
@@ -227,6 +228,11 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     (or NaN) raises :class:`SplitError`.  A ``numpy.ndarray`` component is
     not a number at any d; at d <= 2 neither is a ``bool`` or
     ``numpy.bool_``.
+
+    At d <= 2 every split goes through the component loop.  :func:`run_game`
+    accepts a split of two exact floats itself and calls this only for the
+    splits it refuses.  Every split it accepts passes this loop unchanged,
+    so a direct call holds a split to the same rule.
 
     At d >= 3 the fast accept reads the split twice: the ``fsum`` total
     over every component, which sends a NaN, an infinity or a non-number
@@ -259,16 +265,7 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
             f"round {split.t}: expected {delay_span} components, got {len(comps)}"
         )
     lv = split.loss_value
-    if 1 <= delay_span <= 2:
-        # Fast accept for exact floats only, so bools go to the loop.  The
-        # sum of two floats is one correctly rounded add, equal to their
-        # fsum; an add that overflows to inf fails the sum test.  The
-        # per-component cap follows from the cap on the sum, as below.
-        c0, c1 = comps if delay_span == 2 else (comps[0], 0.0)
-        if type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0:
-            total = c0 + c1
-            if total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
-                return split
+    if delay_span <= 2:
         not_numbers = _NOT_LOSSES
     else:
         # Fast accept: a nonnegative component is at most the correctly
@@ -424,12 +421,19 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     ``int``.  Enforces per round: the action lies in the action space, the
     loss is a real number in [0, 1] and neither a bool nor a numpy array,
     the delay adversary returns a tuple, that tuple is a valid split of the
-    loss into d components (:func:`validate_split` on the engine's own
-    ``LossSplit``, built once per run and refilled each round with t, the
-    components and the loss), and the learner only hears about round t
-    after acting in round t.  A component that float arithmetic cannot add
-    raises :class:`SplitError` once the check or the feedback buffer fails
-    on it.  A :class:`SimulationError`, a bad d included, is re-raised with
+    loss into d components, and the learner only hears about round t
+    after acting in round t.  At d <= 2 the engine accepts a split itself
+    when its d components are exact floats, each >= 0.0, whose sum c0 + c1
+    (c1 = 0.0 at d = 1) lies within SPLIT_ATOL of the loss and not above
+    the loss plus SPLIT_ATOL.  It keeps the one pending slot as a local
+    float and makes the adds of :func:`observe_aggregate` and
+    :func:`push_split` itself (c0 + slot, then 0.0 + c1), so every float
+    is theirs.  Every other split, at any d, is checked by
+    :func:`validate_split` on the engine's own ``LossSplit``, built once per
+    run and refilled with t, the components and the loss.  A component
+    that float arithmetic cannot add raises :class:`SplitError` once the
+    check or the feedback buffer fails on it.  A :class:`SimulationError`,
+    a bad d included, is re-raised with
     ``(seed <master_seed>, <Loss>+<Delay>)``.  The checked components go
     into one list of T * d slots allocated before the first round, so the
     transcript keeps no container per round.
@@ -462,7 +466,9 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     try:
         if not (type(d) is int and d >= 1):
             raise SplitError(f"delay adversary span {d!r} is not a positive int")
-        pending = [0.0] * (d - 1)
+        narrow = d <= 2
+        pending = [0.0] * (d - 1)  # the feedback buffer at d >= 3
+        carry = 0.0  # at d <= 2 its one slot: the mass due next round
         flat: list = [None] * (config.horizon * d)
         hi = 0
         split = LossSplit(0, (), 0.0)
@@ -481,13 +487,40 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             comps = split_fn(t, actions, lv)
             if type(comps) is not tuple:
                 raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
-            split.t = t
-            split.components = comps
-            split.loss_value = lv
             try:
-                split = validate_split(split, d)
-                obs = observe_aggregate(pending, split)
-                push_split(pending, split)
+                if narrow:
+                    # The d <= 2 fast accept, for exact floats only, so bools
+                    # go to validate_split's loop.  The sum of two floats is
+                    # one correctly rounded add, equal to their fsum; an add
+                    # that overflows to inf fails the sum test.  A
+                    # nonnegative component is at most the sum, so the cap
+                    # on the sum caps each component.  Of these tests only
+                    # the two on the loss can raise; the record then still
+                    # holds an earlier split whose components were all
+                    # added, so the TypeError goes on as validate_split's.
+                    if len(comps) == d:
+                        c0, c1 = comps if d == 2 else (comps[0], 0.0)
+                    else:
+                        c0 = c1 = None  # validate_split names the width
+                    if not (type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0
+                            and (total := c0 + c1) <= lv + SPLIT_ATOL
+                            and abs(total - lv) <= SPLIT_ATOL):
+                        split.t = t
+                        split.components = comps
+                        split.loss_value = lv
+                        comps = validate_split(split, d).components
+                        c0, c1 = comps if d == 2 else (comps[0], 0.0)
+                    # the adds of observe_aggregate and push_split
+                    obs = c0 + carry
+                    carry = 0.0 + c1  # not c1: a -0.0 component is stored as 0.0
+                else:
+                    split.t = t
+                    split.components = comps
+                    split.loss_value = lv
+                    split = validate_split(split, d)
+                    obs = observe_aggregate(pending, split)
+                    push_split(pending, split)
+                    comps = split.components
             except TypeError:
                 bad = _unaddable_component(split)
                 if bad is None:
@@ -497,7 +530,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             true_losses.append(lv)
             lo = hi
             hi += d
-            flat[lo:hi] = split.components
+            flat[lo:hi] = comps
             observed_seq.append(obs)
     except SimulationError as e:
         raise type(e)(

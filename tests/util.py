@@ -47,7 +47,10 @@ def reference_validate_split(split, delay_span):
     """The component-by-component split check that ``core.validate_split``
     must agree with: same returned components, or the same ``SplitError``
     message.  A numpy array component is not a number at any d, and at
-    d <= 2 neither is a bool or numpy bool."""
+    d <= 2 neither is a bool or numpy bool; nor is a component whose
+    comparison with a float raises.  A sum test that cannot subtract the
+    loss raises ``TypeError``, as the check does; the engine names the
+    component (see :func:`first_unaddable`)."""
     comps = split.components
     if len(comps) != delay_span:
         raise SplitError(
@@ -56,18 +59,19 @@ def reference_validate_split(split, delay_span):
     lv = split.loss_value
     clamped = None
     for i, c in enumerate(comps):
-        if isinstance(c, np.ndarray) or delay_span <= 2 and isinstance(c, (bool, np.bool_)):
+        verdict = _component_verdict(c, lv, delay_span)
+        if verdict == "not a number":
             raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
-        if c < 0.0:
-            if c < -SPLIT_ATOL:
-                raise SplitError(f"round {split.t}: component {i} is negative ({c!r})")
-            if clamped is None:
-                clamped = list(comps)
-            clamped[i] = 0.0
-        elif c > lv + SPLIT_ATOL:
+        if verdict == "negative":
+            raise SplitError(f"round {split.t}: component {i} is negative ({c!r})")
+        if verdict == "over":
             raise SplitError(
                 f"round {split.t}: component {i} ({c!r}) exceeds loss {lv!r}"
             )
+        if verdict == "clamp":
+            if clamped is None:
+                clamped = list(comps)
+            clamped[i] = 0.0
     if clamped is not None:
         split.components = comps = tuple(clamped)
     total = comps[0] if len(comps) == 1 else math.fsum(comps)
@@ -76,6 +80,31 @@ def reference_validate_split(split, delay_span):
             f"round {split.t}: components sum to {total!r}, loss is {lv!r}"
         )
     return split
+
+
+def _component_verdict(c, lv, delay_span):
+    """What the split check makes of one component: "ok", "clamp",
+    "negative", "over" or "not a number"."""
+    if isinstance(c, np.ndarray) or delay_span <= 2 and isinstance(c, (bool, np.bool_)):
+        return "not a number"
+    try:
+        if c < 0.0:
+            return "clamp" if c >= -SPLIT_ATOL else "negative"
+        return "over" if c > lv + SPLIT_ATOL else "ok"
+    except (TypeError, ValueError, ArithmeticError):
+        return "not a number"
+
+
+def first_unaddable(split):
+    """``SplitError`` naming the first component of ``split`` that cannot be
+    added to a float from either side, or None if each one can."""
+    for i, c in enumerate(split.components):
+        try:
+            c + 0.0
+            0.0 + c
+        except TypeError:
+            return SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
+    return None
 
 
 def reference_push_split(pending, split):
@@ -96,8 +125,10 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
     the history, and the delay adversary cuts the loss into d components.
     A fresh record of the round is checked by ``reference_validate_split``;
     the learner observes component 0 plus what earlier rounds left due now,
-    and the slot-by-slot buffer shifts.  One tuple of checked components is
-    kept per round.  A protocol violation gets the seed and the pairing."""
+    and the slot-by-slot buffer shifts, adding every component.  A
+    ``TypeError`` there names the first component that cannot be added to
+    a float.  One tuple of checked components is kept per round.  A
+    protocol violation gets the seed and the pairing."""
     d = delay_adversary.delay_span
     pending = [0.0] * (d - 1)
     actions, losses, observed, rows = [], [], [], []
@@ -113,9 +144,17 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
             comps = delay_adversary.split(t, actions, lv)
             if type(comps) is not tuple:
                 raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
-            split = reference_validate_split(LossSplit(t, comps, lv), d)
-            seen = split.components[0] + (pending[0] if d > 1 else 0.0)
-            reference_push_split(pending, split)
+            split = LossSplit(t, comps, lv)
+            try:
+                reference_validate_split(split, d)
+                seen = split.components[0] + (pending[0] if d > 1 else 0.0)
+                reference_push_split(pending, split)
+            except TypeError:
+                # a component the sum test or the buffer cannot add
+                bad = first_unaddable(split)
+                if bad is None:
+                    raise
+                raise bad from None
             learner.observe(t, action, seen)
             losses.append(lv)
             observed.append(seen)
