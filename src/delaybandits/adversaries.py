@@ -175,8 +175,12 @@ class _ArmTable:
     ``loss`` reads one entry.  ``arm_totals`` reads the played losses off
     the same lists, and each comparator's constant and one-swap totals are
     the same ``math.fsum`` of its arm's list, the correctly rounded sum of
-    the floats the replay would add.  A round or an arm outside the table,
-    a negative arm included, raises the same text on either path.
+    the floats the replay would add.  It makes one ``fsum`` per distinct
+    list, so comparators whose arms share one list (every arm of a
+    :class:`GapWalkLoss` but the hidden one) are priced once, and sums the
+    list itself, with no copy, when the run covers the whole table.  A
+    round or an arm outside the table, a negative arm included, raises the
+    same text on either path.
     """
 
     def loss(self, t: int, actions: Sequence) -> float:
@@ -201,7 +205,17 @@ class _ArmTable:
         columns = self._columns
         # zip(*columns) yields round t's loss for every arm; the action picks one
         replayed = tuple(map(getitem, zip(*columns), actions))
-        totals = [math.fsum(columns[y][:horizon]) for y in comparators]
+        # one fsum per distinct list, over the list itself when the run
+        # covers the whole table
+        whole = horizon == self.horizon
+        sums: dict = {}
+        totals = []
+        for y in comparators:
+            column = columns[y]
+            total = sums.get(id(column))
+            if total is None:
+                total = sums[id(column)] = math.fsum(column if whole else column[:horizon])
+            totals.append(total)
         return replayed, totals, totals
 
 
@@ -270,6 +284,9 @@ class GapWalkLoss(_ArmTable):
 
         This is the baseline the masking delay exposes in each state, and
         also every arm's loss: the hidden arm's is the low one.
+        :class:`DelayStateMachine` reads the same two lists itself, with
+        this range check, so this method is the formula that the machine
+        equals and that the checks and the tests hold it to.
         """
         if t < 1 or t > self.horizon:
             raise ValueError(f"t={t} outside 1..{self.horizon}")
@@ -312,7 +329,10 @@ class DelayStateMachine:
     Each split returns the tuple (immediate, held), appends the round's
     state to ``lows`` (True when low) and the carry leaving the round to
     ``carries``, as computed: before the engine's validation snaps rounding
-    noise in the held component.
+    noise in the held component.  The baseline is read straight off the
+    loss's two tabulated lists, after the range check of
+    :meth:`GapWalkLoss.masked_baseline` with its ``ValueError`` text, so a
+    round makes no call for it; it is the entry that method returns.
     """
 
     delay_span = 2
@@ -334,18 +354,22 @@ class DelayStateMachine:
             return (loss_value, 0.0)
 
         carry = self.carry
-        if self._low:
+        low = self._low
+        if low:
             if carry > 0.25 - gap:
-                self._low = False
+                self._low = low = False
                 self.switch_count += 1
         elif carry < gap:
-            self._low = True
+            self._low = low = True
             self.switch_count += 1
 
-        immediate = loss.masked_baseline(t, self._low) - carry
+        # masked_baseline(t, low), read off its lists with its range check
+        if t < 1 or t > loss.horizon:
+            raise ValueError(f"t={t} outside 1..{loss.horizon}")
+        immediate = (loss._low if low else loss._high)[t - 1] - carry
         held = loss_value - immediate
         self.carry = held
-        self.lows.append(self._low)
+        self.lows.append(low)
         self.carries.append(held)
         return (immediate, held)
 

@@ -419,16 +419,24 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
 
     The delay span d is the delay adversary's ``delay_span``, a positive
     ``int``.  Enforces per round: the action lies in the action space, the
-    loss is a real number in [0, 1] and neither a bool nor a numpy array,
-    the delay adversary returns a tuple, that tuple is a valid split of the
-    loss into d components, and the learner only hears about round t
-    after acting in round t.  At d <= 2 the engine accepts a split itself
-    when its d components are exact floats, each >= 0.0, whose sum c0 + c1
-    (c1 = 0.0 at d = 1) lies within SPLIT_ATOL of the loss and not above
-    the loss plus SPLIT_ATOL.  It keeps the one pending slot as a local
-    float and makes the adds of :func:`observe_aggregate` and
-    :func:`push_split` itself (c0 + slot, then 0.0 + c1), so every float
-    is theirs.  Every other split, at any d, is checked by
+    loss is a real number in [0, 1], neither a bool nor a numpy array, that
+    float arithmetic can add (so not a ``Decimal``), the delay adversary
+    returns a tuple, that tuple is a valid split of the loss into d
+    components, and the learner only hears about round t after acting in
+    round t.  When the space is exactly a :class:`Discrete` (not a
+    subclass), the engine accepts an exact ``int`` action in
+    0..arm_count - 1 itself; every other action, and every action of any
+    other space, goes to the space's ``contains``.  An exact ``float`` loss
+    is checked by its range alone.  At d <= 2 the engine accepts a split
+    itself when its d components are exact floats, each >= 0.0, whose sum
+    total = c0 + c1 (c1 = 0.0 at d = 1) satisfies ``total <= loss +
+    SPLIT_ATOL`` and ``-SPLIT_ATOL <= total - loss <= SPLIT_ATOL``, the
+    chained form of ``abs(total - loss) <= SPLIT_ATOL``, which agrees with
+    it on every float, NaN and the infinities included.  It keeps the one
+    pending slot as a local float and makes the adds of
+    :func:`observe_aggregate` and :func:`push_split` itself (c0 + slot,
+    then 0.0 + c1), so every float is theirs, and stores c0 (and c1 at
+    d = 2) in the transcript by index.  Every other split, at any d, is checked by
     :func:`validate_split` on the engine's own ``LossSplit``, built once per
     run and refilled with t, the components and the loss.  A component
     that float arithmetic cannot add raises :class:`SplitError` once the
@@ -458,10 +466,16 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     act = learner.act
     observe = learner.observe
 
+    # the fast accept of an action: an exact int in range of an exact
+    # Discrete; every other action, or any action of another space, goes to
+    # contains (arms = 0 accepts nothing)
+    arms = space.arm_count if type(space) is Discrete else 0
+
     actions: list = []
     true_losses: list = []
     observed_seq: list = []
     rejected = _NOT_LOSSES
+    atol = SPLIT_ATOL
 
     try:
         if not (type(d) is int and d >= 1):
@@ -474,14 +488,21 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
         split = LossSplit(0, (), 0.0)
         for t in range(1, config.horizon + 1):
             a = act(t)
-            if not contains(a):
+            if not (type(a) is int and 0 <= a < arms or contains(a)):
                 raise ActionError(f"round {t}: action {a!r} outside the action space")
             actions.append(a)
             lv = loss_fn(t, actions)
-            try:
-                in_range = 0.0 <= lv <= 1.0 and type(lv) not in rejected
-            except (TypeError, ValueError):
-                in_range = False
+            if type(lv) is float:
+                in_range = 0.0 <= lv <= 1.0
+            else:
+                # a loss float arithmetic cannot add (a Decimal) is not a
+                # real number either; a Decimal NaN raises on comparing
+                try:
+                    in_range = 0.0 <= lv <= 1.0 and type(lv) not in rejected
+                    if in_range:
+                        lv + 0.0
+                except (TypeError, ValueError, ArithmeticError):
+                    in_range = False
             if not in_range:
                 raise LossRangeError(f"round {t}: loss {lv!r} is not a real number in [0, 1]")
             comps = split_fn(t, actions, lv)
@@ -494,17 +515,19 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                     # one correctly rounded add, equal to their fsum; an add
                     # that overflows to inf fails the sum test.  A
                     # nonnegative component is at most the sum, so the cap
-                    # on the sum caps each component.  Of these tests only
-                    # the two on the loss can raise; the record then still
-                    # holds an earlier split whose components were all
-                    # added, so the TypeError goes on as validate_split's.
+                    # on the sum caps each component.  The chained compare
+                    # is abs(total - lv) <= atol without the call.  Of these
+                    # tests only the two on the loss can raise; the record
+                    # then still holds an earlier split whose components
+                    # were all added, so the TypeError goes on as
+                    # validate_split's.
                     if len(comps) == d:
                         c0, c1 = comps if d == 2 else (comps[0], 0.0)
                     else:
                         c0 = c1 = None  # validate_split names the width
                     if not (type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0
-                            and (total := c0 + c1) <= lv + SPLIT_ATOL
-                            and abs(total - lv) <= SPLIT_ATOL):
+                            and (total := c0 + c1) <= lv + atol
+                            and -atol <= total - lv <= atol):
                         split.t = t
                         split.components = comps
                         split.loss_value = lv
@@ -513,6 +536,9 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                     # the adds of observe_aggregate and push_split
                     obs = c0 + carry
                     carry = 0.0 + c1  # not c1: a -0.0 component is stored as 0.0
+                    flat[hi] = c0
+                    if d == 2:
+                        flat[hi + 1] = c1
                 else:
                     split.t = t
                     split.components = comps
@@ -520,7 +546,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                     split = validate_split(split, d)
                     obs = observe_aggregate(pending, split)
                     push_split(pending, split)
-                    comps = split.components
+                    flat[hi:hi + d] = split.components
             except TypeError:
                 bad = _unaddable_component(split)
                 if bad is None:
@@ -528,9 +554,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                 raise bad from None
             observe(t, a, obs)
             true_losses.append(lv)
-            lo = hi
             hi += d
-            flat[lo:hi] = comps
             observed_seq.append(obs)
     except SimulationError as e:
         raise type(e)(

@@ -1,6 +1,7 @@
 """Loss and delay constructions: dyadic walk, masking machine, parity trap."""
 
 import math
+import re
 import warnings
 from decimal import Decimal, getcontext
 from itertools import product
@@ -358,20 +359,33 @@ def test_machine_observed_equals_masked_baseline_always():
 
 
 def test_machine_matches_replay_oracle():
-    for rep in range(15):
-        master = run_seed(22, rep)
-        loss = adv.GapWalkLoss.from_seed(2, 200, 0.06, 0.03, master)
-        learner = lrn.UniformRandomLearner(2, substream(master, LEARNER_STREAM))
-        dsm = adv.DelayStateMachine(loss)
-        cfg = core.GameConfig(200, core.Discrete(2), master_seed=master)
-        tr = core.run_game(cfg, learner, loss, dsm)
-        rows = util.replay_state_machine(loss, tr.actions)
-        for (low, carry, imm, held), dsm_low, dsm_carry, comps in zip(
-            rows, dsm.lows, dsm.carries, tr.components
-        ):
-            assert low == dsm_low
-            assert carry == pytest.approx(dsm_carry, abs=1e-15)
-            assert comps == pytest.approx((imm, held), abs=1e-15)
+    # bit for bit: the states, the carries and each immediate component (at
+    # least 1/4, so never clamped) against the replay, which prices every
+    # round with masked_baseline; at K in {2, 3, 5}, with and without a
+    # hidden arm
+    for arm_count in (2, 3, 5):
+        hidden = set()
+        for rep in range(15):
+            master = run_seed(22, rep)
+            loss = adv.GapWalkLoss.from_seed(arm_count, 200, 0.06, 0.03, master)
+            learner = lrn.UniformRandomLearner(arm_count, substream(master, LEARNER_STREAM))
+            dsm = adv.DelayStateMachine(loss)
+            cfg = core.GameConfig(200, core.Discrete(arm_count), master_seed=master)
+            tr = core.run_game(cfg, learner, loss, dsm)
+            rows = util.replay_state_machine(loss, tr.actions)
+            lows, carries, immediates, _ = zip(*rows)
+            assert list(lows) == dsm.lows
+            assert [c.hex() for c in carries] == [c.hex() for c in dsm.carries]
+            assert [i.hex() for i in immediates] == [comps[0].hex() for comps in tr.components]
+            hidden.add(loss.best_arm is not None)
+            if loss.best_arm is not None:
+                # the machine's own range check says what masked_baseline says
+                for t in (0, 201):
+                    with pytest.raises(ValueError) as baseline:
+                        loss.masked_baseline(t, False)
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(baseline.value))}$"):
+                        adv.DelayStateMachine(loss).split(t, [0] * 201, 0.75)
+        assert hidden == {False, True}, arm_count
 
 
 def test_machine_without_hidden_arm_never_moves():

@@ -936,6 +936,51 @@ def test_engine_rejects_bad_action():
                       adv.ConstantLoss(0.5), adv.NoDelay())
 
 
+class RefusesArmZero(core.Discrete):
+    """A ``Discrete`` whose ``contains`` refuses arm 0."""
+
+    def contains(self, action):
+        return action != 0 and super().contains(action)
+
+
+#: actions for round 2, each built from K: in range at both ends, just out
+#: of range, bools, numpy bools and ints, a float, junk, and an int beyond
+#: every numpy int
+ROUND_TWO_ACTIONS = {"0": lambda K: 0, "K-1": lambda K: K - 1, "K": lambda K: K,
+                     "-1": lambda K: -1, "True": lambda K: True, "False": lambda K: False,
+                     "np.True_": lambda K: np.True_, "np.int64(1)": lambda K: np.int64(1),
+                     "np.int32(0)": lambda K: np.int32(0), "1.0": lambda K: 1.0,
+                     "None": lambda K: None, "'0'": lambda K: "0", "2**70": lambda K: 2 ** 70}
+
+
+def _action_outcome(engine, space, action):
+    """The error of a 3-round game on seed 7 that plays ``action`` in round
+    2 and arm 1 around it, or each action's type and value and the
+    ``float.hex`` of every observation."""
+    try:
+        tr = engine(core.GameConfig(3, space, master_seed=7), lrn.ScriptedLearner([1, action, 1]),
+                    adv.ConstantLoss(0.5), adv.NoDelay())
+    except Exception as e:  # the kind and the text must both agree
+        return type(e).__name__, str(e)
+    return "ok", [(type(a).__name__, a) for a in tr.actions], [x.hex() for x in tr.observed]
+
+
+@pytest.mark.parametrize("space_kind", ["Discrete", "RefusesArmZero"])
+@pytest.mark.parametrize("arms", [2, 3])
+@pytest.mark.parametrize("name", ROUND_TWO_ACTIONS)
+def test_engine_accepts_exactly_the_actions_contains_accepts(name, arms, space_kind):
+    # the engine's own accept of an exact int in range of an exact Discrete
+    # against the reference engine, which asks contains of every action; a
+    # subclass still asks its own contains
+    action = ROUND_TWO_ACTIONS[name](arms)
+    space = RefusesArmZero(arms) if space_kind == "RefusesArmZero" else core.Discrete(arms)
+    outcome = _action_outcome(core.run_game, space, action)
+    assert outcome == _action_outcome(util.reference_run_game, space, action)
+    if space_kind == "RefusesArmZero" and name == "0":
+        assert outcome == ("ActionError", "round 2: action 0 outside the action space "
+                                          "(seed 7, ConstantLoss+NoDelay)")
+
+
 def tracked_objects_kept_by_a_run(horizon):
     """Objects the cyclic collector tracks that a held transcript of a
     d = 3 run adds, counted with no collection during the run."""
@@ -1223,6 +1268,27 @@ def test_transcript_keeps_components_flat_in_round_order(d):
             assert row[s] is c
 
 
+#: losses that compare with floats, or raise on comparing (the NaNs), but
+#: that float arithmetic cannot add
+DECIMAL_LOSSES = (Decimal("0.5"), Decimal("NaN"), Decimal("sNaN"))
+
+
+@pytest.mark.parametrize("delay_kind", ["stock", "float-components"])
+@pytest.mark.parametrize("d", [1, 2, 32])
+@pytest.mark.parametrize("loss", DECIMAL_LOSSES, ids=repr)
+def test_engine_rejects_decimal_losses(loss, d, delay_kind):
+    # the loss check names a Decimal loss, whatever the delay would make of it
+    if delay_kind == "stock":
+        delay = adv.LastSlotDelay(d) if d >= 2 else adv.NoDelay()
+    else:
+        delay = Forged(d, lambda t, lv: (0.0,) * (d - 1) + (0.5,))
+    message = (f"round 2: loss {loss!r} is not a real number in [0, 1] "
+               f"(seed 7, ScriptedLoss+{type(delay).__name__})")
+    with pytest.raises(core.LossRangeError, match=f"^{re.escape(message)}$"):
+        core.run_game(make_config(3, seed=7), lrn.ScriptedLearner([0, 1, 0]),
+                      ScriptedLoss([0.5, loss, 0.5]), delay)
+
+
 def test_engine_keeps_numpy_float_losses():
     for value in (np.float64(0.25), np.float32(0.5)):
         tr = core.run_game(make_config(3), lrn.ScriptedLearner([0] * 3),
@@ -1308,8 +1374,9 @@ def test_run_game_matches_the_reference_engine(game):
 #: junk a learner, a loss or a split component might hand the engine
 JUNK = (math.nan, math.inf, -math.inf, "a", None, True, False, [0, 1], (),
         np.float64(0.5), np.float32(0.25), np.int64(1), np.bool_(True), np.float64(math.nan))
-#: junk only a loss hands the engine: arrays that compare like a number
-JUNK_LOSSES = JUNK + (np.array(0.5), np.array([0.5]))
+#: junk only a loss hands the engine: arrays that compare like a number,
+#: and Decimals, which float arithmetic cannot add
+JUNK_LOSSES = JUNK + (np.array(0.5), np.array([0.5])) + DECIMAL_LOSSES
 DISCRETE = core.Discrete(2)
 BALL = core.ConvexBall(2, 1.0, [(0.0, 0.0)])
 VALID_ACTIONS = {DISCRETE: (0, 1, np.int64(1)), BALL: ([0.1, 0.2], np.zeros(2), (0.5, -0.5))}
@@ -1363,6 +1430,8 @@ def junk_games(draw):
 @example((DISCRETE, 1, [0], [1.0], ["junk-component"], [True]))
 @example((DISCRETE, 2, [0], [0.5], ["junk-component"], [False]))
 @example((DISCRETE, 1, [1], [1.0], ["junk-component"], [np.bool_(True)]))
+@example((DISCRETE, 2, [0, 1], [0.5, Decimal("0.5")], ["valid", "valid"], [0.0, 0.0]))
+@example((DISCRETE, 1, [0], [Decimal("sNaN")], ["valid"], [0.0]))
 @settings(max_examples=300, deadline=None)
 def test_engine_raises_only_typed_errors_on_junk(game):
     space, d, actions, losses, kinds, junk = game
@@ -1373,7 +1442,7 @@ def test_engine_raises_only_typed_errors_on_junk(game):
     except core.SimulationError as e:
         assert str(e).endswith(" (seed 7, ScriptedLoss+JunkDelay)"), str(e)
         return
-    assert not any(type(lv) in (bool, np.bool_, np.ndarray) for lv in tr.true_losses)
+    assert not any(type(lv) in (bool, np.bool_, np.ndarray, Decimal) for lv in tr.true_losses)
     assert all(type(c) is tuple and len(c) == d for c in tr.components)
     if d <= 2:
         assert not any(type(c) in (bool, np.bool_) for comps in tr.components for c in comps)

@@ -119,10 +119,26 @@ def reference_push_split(pending, split):
         pending[d - 2] = 0.0 + comps[d - 1]
 
 
+def _is_unit_loss(lv):
+    """Whether ``lv`` is a real number in [0, 1]: not a bool, a numpy bool
+    or an array, in range by comparisons that do not raise (a ``Decimal``
+    NaN's do), and addable to a float (a ``Decimal`` is not)."""
+    if isinstance(lv, (bool, np.bool_, np.ndarray)):
+        return False
+    try:
+        if not 0.0 <= lv <= 1.0:
+            return False
+        lv + 0.0
+    except (TypeError, ValueError, ArithmeticError):
+        return False
+    return True
+
+
 def reference_run_game(config, learner, loss_adversary, delay_adversary):
     """The game that ``core.run_game`` must play bit for bit, written with
     no fast path: each round the learner acts, the loss adversary prices
-    the history, and the delay adversary cuts the loss into d components.
+    the history (a loss that :func:`_is_unit_loss` refuses is an error),
+    and the delay adversary cuts the loss into d components.
     A fresh record of the round is checked by ``reference_validate_split``;
     the learner observes component 0 plus what earlier rounds left due now,
     and the slot-by-slot buffer shifts, adding every component.  A
@@ -139,7 +155,7 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
                 raise ActionError(f"round {t}: action {action!r} outside the action space")
             actions.append(action)
             lv = loss_adversary.loss(t, actions)
-            if isinstance(lv, (bool, np.bool_, np.ndarray)) or not 0.0 <= lv <= 1.0:
+            if not _is_unit_loss(lv):
                 raise LossRangeError(f"round {t}: loss {lv!r} is not a real number in [0, 1]")
             comps = delay_adversary.split(t, actions, lv)
             if type(comps) is not tuple:
