@@ -329,10 +329,11 @@ class DelayStateMachine:
     Each split returns the tuple (immediate, held), appends the round's
     state to ``lows`` (True when low) and the carry leaving the round to
     ``carries``, as computed: before the engine's validation snaps rounding
-    noise in the held component.  The baseline is read straight off the
-    loss's two tabulated lists, after the range check of
-    :meth:`GapWalkLoss.masked_baseline` with its ``ValueError`` text, so a
-    round makes no call for it; it is the entry that method returns.
+    noise in the held component.  Every split first makes the range check
+    of :meth:`GapWalkLoss.masked_baseline` on t, with its ``ValueError``
+    text, so a refused round changes no state.  The baseline is read
+    straight off the loss's two tabulated lists, so a round makes no call
+    for it; it is the entry that method returns.
     """
 
     delay_span = 2
@@ -347,6 +348,9 @@ class DelayStateMachine:
 
     def split(self, t: int, actions: Sequence, loss_value: float) -> tuple:
         loss = self.loss_adversary
+        # masked_baseline's range check, before any state moves
+        if t < 1 or t > loss.horizon:
+            raise ValueError(f"t={t} outside 1..{loss.horizon}")
         gap = loss.gap
         if loss.best_arm is None:
             self.lows.append(False)
@@ -363,9 +367,7 @@ class DelayStateMachine:
             self._low = low = True
             self.switch_count += 1
 
-        # masked_baseline(t, low), read off its lists with its range check
-        if t < 1 or t > loss.horizon:
-            raise ValueError(f"t={t} outside 1..{loss.horizon}")
+        # masked_baseline(t, low), read off its lists
         immediate = (loss._low if low else loss._high)[t - 1] - carry
         held = loss_value - immediate
         self.carry = held

@@ -115,8 +115,6 @@ class Discrete:
         object.__setattr__(self, "arm_count", check_int("arm_count", self.arm_count, 2))
 
     def contains(self, action) -> bool:
-        if type(action) is int:
-            return 0 <= action < self.arm_count
         return (isinstance(action, (int, np.integer)) and type(action) is not bool
                 and 0 <= action < self.arm_count)
 
@@ -222,12 +220,15 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     """Check a split against the declared loss and clamp rounding noise.
 
     Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
-    negative, any component exceeding the loss or not comparable with a
-    float (a ``Decimal`` NaN, whose comparisons raise ``ArithmeticError``,
-    included), a wrong component count, or a sum off by more than SPLIT_ATOL
-    (or NaN) raises :class:`SplitError`.  A ``numpy.ndarray`` component is
-    not a number at any d; at d <= 2 neither is a ``bool`` or
-    ``numpy.bool_``.
+    negative, any component exceeding the loss, not comparable with a float
+    (a ``Decimal`` NaN, whose comparisons raise ``ArithmeticError``,
+    included) or not addable to one from either side (a ``Decimal``), a
+    wrong component count, or a sum off by more than SPLIT_ATOL (or NaN)
+    raises :class:`SplitError`, naming the first bad component in slot
+    order.  A ``numpy.ndarray`` component is not a number at any d; at
+    d <= 2 neither is a ``bool`` or ``numpy.bool_``.  Every component the
+    feedback buffer adds is an exact ``float`` or has passed both adds
+    here, so no add after this check fails.
 
     At d <= 2 every split goes through the component loop.  :func:`run_game`
     accepts a split of two exact floats itself and calls this only for the
@@ -251,13 +252,13 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     the two were within 0.2 us (timeit, best of 5, one pinned CPU of a
     2-core Xeon VM).
 
-    The fast accept at d >= 3 does not look for bools or 0-d arrays: a
-    type scan cost about 1 us per round at d = 32.  A component that
-    compares with floats but cannot be added to one (a ``Decimal``) may
-    pass here; :func:`run_game` names it once the feedback buffer fails to
-    add it.  At d >= 3 :func:`push_split` adds only nonzero components, so
-    such a component that is zero and past slot 0 is never touched and not
-    caught.
+    The fast accept at d >= 3 takes a split only when slot 0 and every
+    nonzero slot hold an exact ``float``; it reads no other slot's type, as
+    a type scan of every slot cost about 1 us per round at d = 32.  Every
+    other split goes to the loop, which accepts an int or a numpy float.
+    So a ``bool`` at d >= 3 is not looked for, and a zero past slot 0 is
+    not read at all: :func:`push_split` never adds it, so a zero that float
+    arithmetic cannot add (``Decimal(0)``) is not caught there.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -273,14 +274,19 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
         # sum.  The fsum total runs over every component: a NaN makes it
         # NaN, which fails the sum tests, and an infinity or a non-number
         # makes it raise.  Only then are the nonzero slots found; the zeros
-        # the scan skips are all >= 0.0.  A scan or a comparison that
-        # raises falls through to the loop, as those do.
+        # the scan skips are all >= 0.0.  Slot 0 and the nonzero slots, the
+        # ones observe_aggregate and push_split add, must be exact floats;
+        # any other type goes to the loop, which makes the adds itself.  A
+        # scan or a comparison that raises falls through to the loop, as
+        # those do.
         try:
             total = math.fsum(comps)
-            if total <= lv + SPLIT_ATOL and abs(total - lv) <= SPLIT_ATOL:
+            if (type(comps[0]) is float and total <= lv + SPLIT_ATOL
+                    and abs(total - lv) <= SPLIT_ATOL):
                 nonzero = [*compress(count(), comps)]
                 for s in nonzero:
-                    if comps[s] < 0.0:
+                    c = comps[s]
+                    if type(c) is not float or c < 0.0:
                         break
                 else:
                     split.nonzero = nonzero
@@ -290,8 +296,9 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
         not_numbers = _ARRAYS
     clamped = None
     for i, c in enumerate(comps):
-        # every comparison and its truth test stay inside the try: an
-        # array's truth value raises ValueError
+        # every comparison, its truth test and the two adds the feedback
+        # buffer makes stay inside the try: an array's truth value raises
+        # ValueError, and a Decimal compares with a float but does not add
         try:
             if type(c) in not_numbers:
                 raise TypeError
@@ -305,6 +312,8 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
                 raise SplitError(
                     f"round {split.t}: component {i} ({c!r}) exceeds loss {lv!r}"
                 )
+            c + 0.0
+            0.0 + c
         except (TypeError, ValueError, ArithmeticError):
             raise SplitError(f"round {split.t}: component {i} ({c!r}) is not a number") from None
     if clamped is not None:
@@ -357,19 +366,6 @@ def push_split(pending: list, split: LossSplit) -> None:
         for s in compress(count(), comps) if nonzero is None else nonzero:
             pending[s] += comps[s]
         del pending[0]
-
-
-def _unaddable_component(split: LossSplit) -> Optional[SplitError]:
-    """The error naming the first component of ``split`` that float
-    arithmetic cannot add, or None if every one adds.  Runs only after the
-    split's check or the buffer has raised ``TypeError``."""
-    for i, c in enumerate(split.components):
-        try:
-            c + 0.0
-            0.0 + c
-        except TypeError:
-            return SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -438,10 +434,9 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     then 0.0 + c1), so every float is theirs, and stores c0 (and c1 at
     d = 2) in the transcript by index.  Every other split, at any d, is checked by
     :func:`validate_split` on the engine's own ``LossSplit``, built once per
-    run and refilled with t, the components and the loss.  A component
-    that float arithmetic cannot add raises :class:`SplitError` once the
-    check or the feedback buffer fails on it.  A :class:`SimulationError`,
-    a bad d included, is re-raised with
+    run and refilled with t, the components and the loss; that check names
+    every component that is not a number, so no add after it fails.  A
+    :class:`SimulationError`, a bad d included, is re-raised with
     ``(seed <master_seed>, <Loss>+<Delay>)``.  The checked components go
     into one list of T * d slots allocated before the first round, so the
     transcript keeps no container per round.
@@ -508,50 +503,40 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
             comps = split_fn(t, actions, lv)
             if type(comps) is not tuple:
                 raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
-            try:
-                if narrow:
-                    # The d <= 2 fast accept, for exact floats only, so bools
-                    # go to validate_split's loop.  The sum of two floats is
-                    # one correctly rounded add, equal to their fsum; an add
-                    # that overflows to inf fails the sum test.  A
-                    # nonnegative component is at most the sum, so the cap
-                    # on the sum caps each component.  The chained compare
-                    # is abs(total - lv) <= atol without the call.  Of these
-                    # tests only the two on the loss can raise; the record
-                    # then still holds an earlier split whose components
-                    # were all added, so the TypeError goes on as
-                    # validate_split's.
-                    if len(comps) == d:
-                        c0, c1 = comps if d == 2 else (comps[0], 0.0)
-                    else:
-                        c0 = c1 = None  # validate_split names the width
-                    if not (type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0
-                            and (total := c0 + c1) <= lv + atol
-                            and -atol <= total - lv <= atol):
-                        split.t = t
-                        split.components = comps
-                        split.loss_value = lv
-                        comps = validate_split(split, d).components
-                        c0, c1 = comps if d == 2 else (comps[0], 0.0)
-                    # the adds of observe_aggregate and push_split
-                    obs = c0 + carry
-                    carry = 0.0 + c1  # not c1: a -0.0 component is stored as 0.0
-                    flat[hi] = c0
-                    if d == 2:
-                        flat[hi + 1] = c1
+            if narrow:
+                # The d <= 2 fast accept, for exact floats only, so bools go
+                # to validate_split's loop.  The sum of two floats is one
+                # correctly rounded add, equal to their fsum; an add that
+                # overflows to inf fails the sum test.  A nonnegative
+                # component is at most the sum, so the cap on the sum caps
+                # each component.  The chained compare is abs(total - lv)
+                # <= atol without the call.
+                if len(comps) == d:
+                    c0, c1 = comps if d == 2 else (comps[0], 0.0)
                 else:
+                    c0 = c1 = None  # validate_split names the width
+                if not (type(c0) is float and type(c1) is float and c0 >= 0.0 and c1 >= 0.0
+                        and (total := c0 + c1) <= lv + atol
+                        and -atol <= total - lv <= atol):
                     split.t = t
                     split.components = comps
                     split.loss_value = lv
-                    split = validate_split(split, d)
-                    obs = observe_aggregate(pending, split)
-                    push_split(pending, split)
-                    flat[hi:hi + d] = split.components
-            except TypeError:
-                bad = _unaddable_component(split)
-                if bad is None:
-                    raise
-                raise bad from None
+                    comps = validate_split(split, d).components
+                    c0, c1 = comps if d == 2 else (comps[0], 0.0)
+                # the adds of observe_aggregate and push_split
+                obs = c0 + carry
+                carry = 0.0 + c1  # not c1: a -0.0 component is stored as 0.0
+                flat[hi] = c0
+                if d == 2:
+                    flat[hi + 1] = c1
+            else:
+                split.t = t
+                split.components = comps
+                split.loss_value = lv
+                split = validate_split(split, d)
+                obs = observe_aggregate(pending, split)
+                push_split(pending, split)
+                flat[hi:hi + d] = split.components
             observe(t, a, obs)
             true_losses.append(lv)
             hi += d

@@ -378,13 +378,17 @@ def test_machine_matches_replay_oracle():
             assert [c.hex() for c in carries] == [c.hex() for c in dsm.carries]
             assert [i.hex() for i in immediates] == [comps[0].hex() for comps in tr.components]
             hidden.add(loss.best_arm is not None)
-            if loss.best_arm is not None:
-                # the machine's own range check says what masked_baseline says
-                for t in (0, 201):
-                    with pytest.raises(ValueError) as baseline:
-                        loss.masked_baseline(t, False)
+            # the machine's own range check says what masked_baseline says,
+            # with or without a hidden arm, and a refused round moves nothing
+            for t in (0, 201):
+                with pytest.raises(ValueError) as baseline:
+                    loss.masked_baseline(t, False)
+                fresh = adv.DelayStateMachine(loss)
+                for machine in (fresh, dsm):
+                    before = (machine.switch_count, list(machine.lows), list(machine.carries))
                     with pytest.raises(ValueError, match=f"^{re.escape(str(baseline.value))}$"):
-                        adv.DelayStateMachine(loss).split(t, [0] * 201, 0.75)
+                        machine.split(t, [0] * 201, 0.75)
+                    assert (machine.switch_count, machine.lows, machine.carries) == before
         assert hidden == {False, True}, arm_count
 
 

@@ -678,6 +678,8 @@ def _split_outcome(check, d, comps, lv):
 @example((2, (0.0, np.bool_(True)), 1.0))
 @example((2, (-1.0, True), 1.0))                          # the first bad component is named
 @example((3, (True, 0.0, 0.0), 1.0))                      # d >= 3 does not look for bools
+@example((2, (Decimal("0.5"), -1.0), 0.5))                # the first bad slot is named
+@example((3, (0.0, 0.0, np.array(0.5)), 0.5))             # a 0-d array is not a float
 @example((32, (0.0,) * 15 + (math.nan,) + (0.0,) * 15 + (0.5,), 0.5))  # a 0.0 sorts first
 @example((32, (0.0,) * 15 + (-1e-13,) + (0.0,) * 15 + (0.5,), 0.5))    # clamps to +0.0
 @example((32, (0.5,) + (0.0,) * 31, 0.5))                              # one-hot in slot 0
@@ -1116,8 +1118,8 @@ def test_engine_rejects_delay_span_that_is_not_a_positive_int(span):
 DECIMAL_SLOTS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 2), (32, 0), (32, 31))
 
 
-# A Decimal compares with floats, so the split check can pass it; the
-# buffer's add fails on it, and the engine names the component.
+# A Decimal compares with floats but does not add to one; the split check
+# names it, called directly or by the engine, at every d.
 @pytest.mark.parametrize("comps", [
     ("a", 0.5), (None, 0.5), ("a",),
     *(tuple(Decimal("0.5") if s == slot else 0.0 for s in range(d)) for d, slot in DECIMAL_SLOTS),
@@ -1125,8 +1127,10 @@ DECIMAL_SLOTS = ((1, 0), (2, 0), (2, 1), (3, 0), (3, 2), (32, 0), (32, 31))
 def test_engine_rejects_non_number_components(comps):
     d = len(comps)
     slot = next(i for i, c in enumerate(comps) if type(c) is not float)
-    with pytest.raises(core.SplitError, match=rf"^round 1: component {slot} \(.*\) is not a number "
-                                              r"\(seed 7, ConstantLoss\+Forged\)$"):
+    message = rf"^round 1: component {slot} \(.*\) is not a number"
+    with pytest.raises(core.SplitError, match=rf"{message}$"):
+        core.validate_split(core.LossSplit(1, comps, 0.5), d)
+    with pytest.raises(core.SplitError, match=rf"{message} \(seed 7, ConstantLoss\+Forged\)$"):
         core.run_game(make_config(4, seed=7), lrn.ScriptedLearner([0] * 4),
                       adv.ConstantLoss(0.5), Forged(d, lambda t, lv: comps))
 
@@ -1152,21 +1156,16 @@ ARRAY_COMPONENTS = {"two-element": (np.array([0.1, 0.2]), 0.5),
                     "0d": (np.array(0.5), 0.0)}
 
 
-def _array_case_params():
-    for (name, (array, rest)), d, slot in product(ARRAY_COMPONENTS.items(), (2, 3), ("first", "last")):
-        marks = ()
-        if name == "0d" and d >= 3:
-            marks = pytest.mark.xfail(strict=True, reason=(
-                "a 0-d array converts in the fsum total and compares like a float, so the "
-                "d >= 3 fast accept keeps it; no type test per slot (CHANGES.md FOUND)"))
-        yield pytest.param(array, rest, d, 0 if slot == "first" else d - 1,
-                           id=f"{name}-d{d}-{slot}", marks=marks)
-
-
 # An array compares and converts elementwise: its truth value raises, or a
 # one-element array slips through the comparisons and then fails fsum.  The
-# check names it as not a number at every d.
-@pytest.mark.parametrize("array, rest, d, slot", _array_case_params())
+# check names it as not a number at every d; a 0-d array converts in the
+# fsum total, and the d >= 3 fast accept sends it to the loop as it is not a
+# float.
+@pytest.mark.parametrize("array, rest, d, slot", [
+    pytest.param(array, rest, d, 0 if slot == "first" else d - 1, id=f"{name}-d{d}-{slot}")
+    for (name, (array, rest)), d, slot in product(ARRAY_COMPONENTS.items(), (2, 3),
+                                                  ("first", "last"))
+])
 def test_engine_names_numpy_array_components(array, rest, d, slot):
     def make(t, lv):
         comps = [0.0] * d
@@ -1453,9 +1452,6 @@ def test_engine_raises_only_typed_errors_on_junk(game):
 INJECTED = {repr(x): x for x in JUNK_LOSSES + (Decimal(0), Decimal("0.5"), np.float32(0.0))}
 #: the round that carries the item; every later round is stock
 INJECTED_ROUND = 2
-FOUND_0D_ARRAY = ("CHANGES.md FOUND: `core.validate_split` keeps a 0-d numpy array component "
-                  "at d >= 3 [...] because `fsum` converts it and it compares like a float, so "
-                  "the fast accept passes it as it passes `True`")
 FOUND_DECIMAL_ZERO = ("CHANGES.md FOUND: at d >= 3 `run_game` keeps a `Decimal(0)` component "
                       "past slot 0 in the transcript: `push_split` adds only nonzero components, "
                       "so nothing tries to add it to a float and it is never named")
@@ -1465,8 +1461,7 @@ FOUND_FLOAT32 = ("CHANGES.md FOUND: `core.observe_aggregate` and `core.push_spli
                  "skips it, so only the reference's observations turn float32")
 #: the cases where the engine and the reference differ, all at d >= 3:
 #: (item, where) -> the FOUND line that names the difference
-KNOWN_INJECTION_DIFFERENCES = {("array(0.5)", "last"): FOUND_0D_ARRAY,
-                               ("Decimal('0')", "middle"): FOUND_DECIMAL_ZERO,
+KNOWN_INJECTION_DIFFERENCES = {("Decimal('0')", "middle"): FOUND_DECIMAL_ZERO,
                                ("np.float32(0.0)", "middle"): FOUND_FLOAT32}
 
 

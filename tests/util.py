@@ -48,9 +48,8 @@ def reference_validate_split(split, delay_span):
     must agree with: same returned components, or the same ``SplitError``
     message.  A numpy array component is not a number at any d, and at
     d <= 2 neither is a bool or numpy bool; nor is a component whose
-    comparison with a float raises.  A sum test that cannot subtract the
-    loss raises ``TypeError``, as the check does; the engine names the
-    component (see :func:`first_unaddable`)."""
+    comparison with a float raises, or that cannot be added to a float
+    from either side.  The first bad component in slot order is named."""
     comps = split.components
     if len(comps) != delay_span:
         raise SplitError(
@@ -88,23 +87,15 @@ def _component_verdict(c, lv, delay_span):
     if isinstance(c, np.ndarray) or delay_span <= 2 and isinstance(c, (bool, np.bool_)):
         return "not a number"
     try:
-        if c < 0.0:
-            return "clamp" if c >= -SPLIT_ATOL else "negative"
-        return "over" if c > lv + SPLIT_ATOL else "ok"
+        if c < -SPLIT_ATOL:
+            return "negative"
+        if c > lv + SPLIT_ATOL:
+            return "over"
+        c + 0.0
+        0.0 + c
+        return "clamp" if c < 0.0 else "ok"
     except (TypeError, ValueError, ArithmeticError):
         return "not a number"
-
-
-def first_unaddable(split):
-    """``SplitError`` naming the first component of ``split`` that cannot be
-    added to a float from either side, or None if each one can."""
-    for i, c in enumerate(split.components):
-        try:
-            c + 0.0
-            0.0 + c
-        except TypeError:
-            return SplitError(f"round {split.t}: component {i} ({c!r}) is not a number")
-    return None
 
 
 def reference_push_split(pending, split):
@@ -141,9 +132,8 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
     and the delay adversary cuts the loss into d components.
     A fresh record of the round is checked by ``reference_validate_split``;
     the learner observes component 0 plus what earlier rounds left due now,
-    and the slot-by-slot buffer shifts, adding every component.  A
-    ``TypeError`` there names the first component that cannot be added to
-    a float.  One tuple of checked components is kept per round.  A
+    and the slot-by-slot buffer shifts, adding every component.  One
+    tuple of checked components is kept per round.  A
     protocol violation gets the seed and the pairing."""
     d = delay_adversary.delay_span
     pending = [0.0] * (d - 1)
@@ -161,16 +151,9 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
             if type(comps) is not tuple:
                 raise SplitError(f"round {t}: delay adversary returned {comps!r}, not a tuple")
             split = LossSplit(t, comps, lv)
-            try:
-                reference_validate_split(split, d)
-                seen = split.components[0] + (pending[0] if d > 1 else 0.0)
-                reference_push_split(pending, split)
-            except TypeError:
-                # a component the sum test or the buffer cannot add
-                bad = first_unaddable(split)
-                if bad is None:
-                    raise
-                raise bad from None
+            reference_validate_split(split, d)
+            seen = split.components[0] + (pending[0] if d > 1 else 0.0)
+            reference_push_split(pending, split)
             learner.observe(t, action, seen)
             losses.append(lv)
             observed.append(seen)
