@@ -103,12 +103,11 @@ def masking_run(horizon: int, arm_count: int, seed: int) -> MaskingRun:
 
     The machine starts high, so a first round in the low state counts as
     a switch.  Splits are not checked here: ``run_game`` already held every
-    round's split to the split rule.  The machine plays at d = 2, so that
-    is ``run_game``'s own fast accept, and :func:`~.core.validate_split`
-    only for a split the accept refuses; both hold it to the same rule.
-    The residual prices each round with the loss's ``masked_baseline``,
-    the formula the machine reads off the loss's lists without calling
-    it, so it checks the machine from outside.
+    round's split to the split rule, by its own fast accept or, for a
+    split the accept refuses, by :func:`~.core.validate_split`.  The
+    residual prices each round with the loss's ``masked_baseline``, the
+    formula the machine reads off the loss's lists without calling it, so
+    it checks the machine from outside.
     """
     spec = cli.ExperimentSpec("gapwalk", "statemachine", "uniform",
                               horizons=(horizon,), arm_count=arm_count)

@@ -201,13 +201,13 @@ class LossSplit:
 
     ``components[s]`` surfaces at round ``t + s``.  :func:`run_game` builds
     one per run and refills it with the round, the realized loss and the
-    tuple the delay adversary returned, every round at d >= 3 and at d <= 2
-    for each split its own fast accept refuses; the transcript keeps
-    the components, never the record.  ``nonzero`` lists the slots of the
-    nonzero components, ascending: every successful return of
-    :func:`validate_split` at d >= 3 sets it from the components it
-    returns, and :func:`push_split` reads it instead of scanning again.
-    ``None`` (the default) tells :func:`push_split` to find them itself.
+    tuple the delay adversary returned, for each split its own fast accept
+    refuses; the transcript keeps the components, never the record.
+    ``nonzero`` lists the slots of the nonzero components, ascending: every
+    successful return of :func:`validate_split` at d >= 3 sets it from the
+    components it returns, and :func:`push_split` reads it instead of
+    scanning again.  ``None`` (the default) tells :func:`push_split` to
+    find them itself.
     """
 
     t: int
@@ -219,46 +219,22 @@ class LossSplit:
 def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
     """Check a split against the declared loss and clamp rounding noise.
 
-    Components in [-SPLIT_ATOL, 0) are snapped to 0.0; anything more
-    negative, any component exceeding the loss, not comparable with a float
-    (a ``Decimal`` NaN, whose comparisons raise ``ArithmeticError``,
-    included) or not addable to one from either side (a ``Decimal``), a
-    wrong component count, or a sum off by more than SPLIT_ATOL (or NaN)
-    raises :class:`SplitError`, naming the first bad component in slot
-    order.  A ``numpy.ndarray`` component is not a number at any d; at
-    d <= 2 neither is a ``bool`` or ``numpy.bool_``.  Every component the
-    feedback buffer adds is an exact ``float`` or has passed both adds
-    here, so no add after this check fails.
+    Checks the width, then each component in slot order, then the sum.
+    A component in [-SPLIT_ATOL, 0) is snapped to 0.0.  A wrong component
+    count, a component below -SPLIT_ATOL or above the loss plus SPLIT_ATOL,
+    one that is not a number, or a sum off the loss by more than SPLIT_ATOL
+    (or NaN) raises :class:`SplitError`, naming the first bad component.
+    Not a number is a component that does not compare with a float (a
+    ``Decimal`` NaN), does not add to one from either side (a ``Decimal``),
+    or is a ``numpy.ndarray``; at d <= 2 a ``bool`` or ``numpy.bool_`` too.
+    So no add the feedback buffer makes after this check fails.  At d >= 3
+    a successful return sets ``split.nonzero`` to the slots of the nonzero
+    checked components, for :func:`push_split`.
 
-    At d <= 2 every split goes through the component loop.  :func:`run_game`
-    accepts a split of two exact floats itself and calls this only for the
-    splits it refuses.  Every split it accepts passes this loop unchanged,
-    so a direct call holds a split to the same rule.
-
-    At d >= 3 the fast accept reads the split twice: the ``fsum`` total
-    over every component, which sends a NaN, an infinity or a non-number
-    (a falsy ``None`` included) to the component loop, and one ``compress``
-    scan for the slots of the nonzero components, whose sign test reads
-    those components only.  A skipped component is falsy, and every falsy
-    number ``fsum`` accepts (``-0.0``, ``0``, ``Decimal(0)``, numpy zeros)
-    is >= 0.0.  Every successful return at d >= 3, the fast accept's or the
-    loop's (from the clamped components), stores those slots in
-    ``split.nonzero`` for :func:`push_split`.  On a one-hot split such as
-    :class:`LastSlotDelay`'s the scan is one C pass; a dense split pays one
-    list entry and one Python comparison per component.  At d = 32 that
-    made this check about 0.8 us slower on a dense split than a sort-based
-    sign test, and this check, :func:`observe_aggregate` and
-    :func:`push_split` together took 3.4-4.1 us against 3.4 us; at d = 4
-    the two were within 0.2 us (timeit, best of 5, one pinned CPU of a
-    2-core Xeon VM).
-
-    The fast accept at d >= 3 takes a split only when slot 0 and every
-    nonzero slot hold an exact ``float``; it reads no other slot's type, as
-    a type scan of every slot cost about 1 us per round at d = 32.  Every
-    other split goes to the loop, which accepts an int or a numpy float.
-    So a ``bool`` at d >= 3 is not looked for, and a zero past slot 0 is
-    not read at all: :func:`push_split` never adds it, so a zero that float
-    arithmetic cannot add (``Decimal(0)``) is not caught there.
+    :func:`run_game` accepts most splits itself and calls this only for
+    the splits it refuses.  Every split it accepts passes this check
+    unchanged, except one with a zero past slot 0 at d >= 3 that does not
+    add to a float (a ``Decimal(0)``), which its accept never reads.
     """
     comps = split.components
     if len(comps) != delay_span:
@@ -266,34 +242,7 @@ def validate_split(split: LossSplit, delay_span: int) -> LossSplit:
             f"round {split.t}: expected {delay_span} components, got {len(comps)}"
         )
     lv = split.loss_value
-    if delay_span <= 2:
-        not_numbers = _NOT_LOSSES
-    else:
-        # Fast accept: a nonnegative component is at most the correctly
-        # rounded sum, so the per-component cap follows from the cap on the
-        # sum.  The fsum total runs over every component: a NaN makes it
-        # NaN, which fails the sum tests, and an infinity or a non-number
-        # makes it raise.  Only then are the nonzero slots found; the zeros
-        # the scan skips are all >= 0.0.  Slot 0 and the nonzero slots, the
-        # ones observe_aggregate and push_split add, must be exact floats;
-        # any other type goes to the loop, which makes the adds itself.  A
-        # scan or a comparison that raises falls through to the loop, as
-        # those do.
-        try:
-            total = math.fsum(comps)
-            if (type(comps[0]) is float and total <= lv + SPLIT_ATOL
-                    and abs(total - lv) <= SPLIT_ATOL):
-                nonzero = [*compress(count(), comps)]
-                for s in nonzero:
-                    c = comps[s]
-                    if type(c) is not float or c < 0.0:
-                        break
-                else:
-                    split.nonzero = nonzero
-                    return split
-        except (ArithmeticError, TypeError, ValueError):
-            pass
-        not_numbers = _ARRAYS
+    not_numbers = _NOT_LOSSES if delay_span <= 2 else _ARRAYS
     clamped = None
     for i, c in enumerate(comps):
         # every comparison, its truth test and the two adds the feedback
@@ -380,10 +329,9 @@ class Transcript:
     Its validated split (d floats, clamped as :func:`validate_split` left
     it) is ``flat_components[(t-1)*d : t*d]`` for d = ``delay_span``:
     component s of round t is ``flat_components[(t-1)*d + s]``.  The list is
-    the engine's own, handed over without a copy, and is not to be mutated;
-    a tuple copy would cost 0.36 us per round at d = 32.  ``components[t-1]``
-    is the same split as a d-tuple, from a view of per-round tuples built
-    on first read.
+    the engine's own, handed over without a copy, and is not to be mutated.
+    ``components[t-1]`` is the same split as a d-tuple, from a view of
+    per-round tuples built on first read.
     """
 
     config: GameConfig
@@ -423,20 +371,31 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     subclass), the engine accepts an exact ``int`` action in
     0..arm_count - 1 itself; every other action, and every action of any
     other space, goes to the space's ``contains``.  An exact ``float`` loss
-    is checked by its range alone.  At d <= 2 the engine accepts a split
-    itself when its d components are exact floats, each >= 0.0, whose sum
-    total = c0 + c1 (c1 = 0.0 at d = 1) satisfies ``total <= loss +
-    SPLIT_ATOL`` and ``-SPLIT_ATOL <= total - loss <= SPLIT_ATOL``, the
-    chained form of ``abs(total - loss) <= SPLIT_ATOL``, which agrees with
-    it on every float, NaN and the infinities included.  It keeps the one
-    pending slot as a local float and makes the adds of
-    :func:`observe_aggregate` and :func:`push_split` itself (c0 + slot,
-    then 0.0 + c1), so every float is theirs, and stores c0 (and c1 at
-    d = 2) in the transcript by index.  Every other split, at any d, is checked by
-    :func:`validate_split` on the engine's own ``LossSplit``, built once per
-    run and refilled with t, the components and the loss; that check names
-    every component that is not a number, so no add after it fails.  A
-    :class:`SimulationError`, a bad d included, is re-raised with
+    is checked by its range alone.
+
+    The engine accepts a split itself when it passes the rule below, and
+    then makes the adds of :func:`observe_aggregate` and :func:`push_split`
+    itself, in their order, so every float is theirs; it stores the
+    components in the transcript as they are.  Both sum tests are
+    ``total <= loss + SPLIT_ATOL`` and ``-SPLIT_ATOL <= total - loss <=
+    SPLIT_ATOL``, the chained form of ``abs(total - loss) <= SPLIT_ATOL``,
+    which agrees with it on every float, NaN and the infinities included.
+    At d <= 2 the split's d components must be exact floats, each >= 0.0,
+    whose sum total = c0 + c1 (c1 = 0.0 at d = 1) passes both tests; the
+    one pending slot is a local float, and the adds are c0 + slot, then
+    0.0 + c1.  At d >= 3 the split must have d components, an exact float
+    in slot 0, and a ``math.fsum`` total over every slot that passes both
+    tests; one ``compress`` scan then finds the nonzero slots, and each of
+    those components must be an exact float >= 0.0.  A zero past slot 0 is
+    never read, its type included.  The adds are component 0 + pending
+    slot 0 for the observation, then a new last slot of 0.0, each nonzero
+    component added to its slot in ascending order, and the first slot
+    dropped.  An fsum or a scan that raises refuses the split.  Every
+    refused split, at any d, is checked by :func:`validate_split` on the
+    engine's own ``LossSplit``, built once per run and refilled with t, the
+    components and the loss, and then goes through the two helpers; that
+    check names every component that is not a number, so no add after it
+    fails.  A :class:`SimulationError`, a bad d included, is re-raised with
     ``(seed <master_seed>, <Loss>+<Delay>)``.  The checked components go
     into one list of T * d slots allocated before the first round, so the
     transcript keeps no container per round.
@@ -471,6 +430,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
     observed_seq: list = []
     rejected = _NOT_LOSSES
     atol = SPLIT_ATOL
+    fsum = math.fsum
 
     try:
         if not (type(d) is int and d >= 1):
@@ -478,6 +438,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
         narrow = d <= 2
         pending = [0.0] * (d - 1)  # the feedback buffer at d >= 3
         carry = 0.0  # at d <= 2 its one slot: the mass due next round
+        slots = tuple(range(d))
         flat: list = [None] * (config.horizon * d)
         hi = 0
         split = LossSplit(0, (), 0.0)
@@ -509,8 +470,7 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                 # correctly rounded add, equal to their fsum; an add that
                 # overflows to inf fails the sum test.  A nonnegative
                 # component is at most the sum, so the cap on the sum caps
-                # each component.  The chained compare is abs(total - lv)
-                # <= atol without the call.
+                # each component.
                 if len(comps) == d:
                     c0, c1 = comps if d == 2 else (comps[0], 0.0)
                 else:
@@ -530,13 +490,42 @@ def run_game(config: GameConfig, learner, loss_adversary, delay_adversary) -> Tr
                 if d == 2:
                     flat[hi + 1] = c1
             else:
-                split.t = t
-                split.components = comps
-                split.loss_value = lv
-                split = validate_split(split, d)
-                obs = observe_aggregate(pending, split)
-                push_split(pending, split)
-                flat[hi:hi + d] = split.components
+                # The d >= 3 fast accept.  The fsum total runs over every
+                # slot: a NaN fails the sum tests, and an infinity or a
+                # non-number makes fsum raise.  A nonnegative component is
+                # at most the correctly rounded sum, so the cap on the sum
+                # caps each component.  The zeros the scan skips are all
+                # >= 0.0 and are never added, so only slot 0 and the nonzero
+                # slots must be exact floats.
+                nonzero = None
+                try:
+                    if (len(comps) == d and type(comps[0]) is float
+                            and (total := fsum(comps)) <= lv + atol
+                            and -atol <= total - lv <= atol):
+                        nonzero = [*compress(slots, comps)]
+                        for s in nonzero:
+                            c = comps[s]
+                            if type(c) is not float or c < 0.0:
+                                nonzero = None
+                                break
+                except (ArithmeticError, TypeError, ValueError):
+                    pass
+                if nonzero is None:
+                    split.t = t
+                    split.components = comps
+                    split.loss_value = lv
+                    split = validate_split(split, d)
+                    obs = observe_aggregate(pending, split)
+                    push_split(pending, split)
+                    comps = split.components
+                else:
+                    # the adds of observe_aggregate and push_split
+                    obs = comps[0] + pending[0]
+                    pending.append(0.0)
+                    for s in nonzero:
+                        pending[s] += comps[s]
+                    del pending[0]
+                flat[hi:hi + d] = comps
             observe(t, a, obs)
             true_losses.append(lv)
             hi += d

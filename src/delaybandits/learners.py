@@ -187,7 +187,7 @@ class MiniBatchWrapper:
     Batch j covers rounds (j - 1) * batch_size + 1 .. j * batch_size, so the
     round alone says where a batch starts and ends.  Rounds after the last
     complete batch are leftovers: the final batch action is repeated and
-    their observations are dropped, so the inner learner only ever hears
+    their observations never reach the inner learner, which only ever hears
     about complete batches.  When the whole horizon is shorter than one
     batch, the inner learner is queried once for the action to repeat and
     never receives feedback.
@@ -219,8 +219,8 @@ class MiniBatchWrapper:
         return self.current_action
 
     def observe(self, t: int, action, observed: float) -> None:
-        if t > self._batched_rounds:
-            return
+        # a leftover round only adds to the accumulator: its t is past the
+        # last complete batch's end, so it never reaches the inner learner
         self.accumulator += observed
         if t == self._batch_end:
             estimate = self.accumulator / self.batch_size

@@ -345,6 +345,21 @@ def test_machine_worked_example_two_rounds():
     assert dsm.carries[1] == pytest.approx(0.05, abs=1e-12)
 
 
+def test_machine_keeps_its_state_with_the_carry_on_a_boundary():
+    # the transitions are strict: a carry of exactly gap in the high state,
+    # or exactly 1/4 - gap in the low state, keeps the state
+    loss = adv.GapWalkLoss(zero_walk(4), 2, best_arm=0, gap=0.05)
+    high = adv.DelayStateMachine(loss)
+    high.carry = loss.gap
+    high.split(1, [1], 0.75)
+    assert (high.lows, high.switch_count) == ([False], 0)
+    low = adv.DelayStateMachine(loss)
+    low.split(1, [1], 0.75)  # carry 0 < gap: the first round drops low
+    low.carry = 0.25 - loss.gap
+    low.split(2, [1, 1], 0.75)
+    assert (low.lows, low.switch_count) == ([True, True], 1)
+
+
 def test_machine_observed_equals_masked_baseline_always():
     for rep in range(15):
         master = run_seed(21, rep)

@@ -12,7 +12,10 @@ instead.
 import importlib.util
 from pathlib import Path
 
+import util
+from delaybandits import adversaries as adv
 from delaybandits import cli, core
+from delaybandits import learners as lrn
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
 
@@ -61,6 +64,11 @@ def test_bench_tracer_reaches_every_patched_name():
             assert len(cap.transcript.actions) == horizon
             assert cap.transcript.delay_span == row["d"] == cap.built[3].delay_span
             assert cap.transcript.realized_total == row["realized_total"]
+        # run_game accepts every split of the pairings above itself; a
+        # clamped split every third round goes to the patched helpers
+        core.run_game(core.GameConfig(horizon, core.Discrete(2)),
+                      lrn.ScriptedLearner([0] * horizon), adv.ConstantLoss(0.5),
+                      util.ClampedLastSlotDelay(32))
     assert REQUIRED_SPANS <= span_names(tracer.root)
     restored = (core.run_game, core.validate_split, cli._build_run)
     assert all(now is was for now, was in zip(restored, originals))

@@ -530,8 +530,8 @@ def test_parity_trap_and_gap_walk_keep_their_arm_ranges():
 # splits and pending feedback
 
 
-#: widths the named split cases run at: d = 2 takes the d <= 2 branch of
-#: ``validate_split``, d = 3 and 32 its d >= 3 fast accept
+#: widths the named split cases run at: d = 2 under the d <= 2 type rule,
+#: d = 3 and 32 under the d >= 3 one
 SPLIT_WIDTHS = (2, 3, 32)
 
 
@@ -680,6 +680,7 @@ def _split_outcome(check, d, comps, lv):
 @example((3, (True, 0.0, 0.0), 1.0))                      # d >= 3 does not look for bools
 @example((2, (Decimal("0.5"), -1.0), 0.5))                # the first bad slot is named
 @example((3, (0.0, 0.0, np.array(0.5)), 0.5))             # a 0-d array is not a float
+@example((3, (0.0, Decimal(0), 0.5), 0.5))                # every zero is read here
 @example((32, (0.0,) * 15 + (math.nan,) + (0.0,) * 15 + (0.5,), 0.5))  # a 0.0 sorts first
 @example((32, (0.0,) * 15 + (-1e-13,) + (0.0,) * 15 + (0.5,), 0.5))    # clamps to +0.0
 @example((32, (0.5,) + (0.0,) * 31, 0.5))                              # one-hot in slot 0
@@ -1159,8 +1160,8 @@ ARRAY_COMPONENTS = {"two-element": (np.array([0.1, 0.2]), 0.5),
 # An array compares and converts elementwise: its truth value raises, or a
 # one-element array slips through the comparisons and then fails fsum.  The
 # check names it as not a number at every d; a 0-d array converts in the
-# fsum total, and the d >= 3 fast accept sends it to the loop as it is not a
-# float.
+# fsum total, and run_game's d >= 3 fast accept sends it to validate_split
+# as it is not a float.
 @pytest.mark.parametrize("array, rest, d, slot", [
     pytest.param(array, rest, d, 0 if slot == "first" else d - 1, id=f"{name}-d{d}-{slot}")
     for (name, (array, rest)), d, slot in product(ARRAY_COMPONENTS.items(), (2, 3),
@@ -1315,21 +1316,9 @@ def _admitted_pairings() -> list:
 ADMITTED_PAIRINGS = _admitted_pairings()
 
 
-class ClampedLastSlotDelay(adv.LastSlotDelay):
-    """The last-slot split, with 1e-13 of the loss moved out of a zero slot
-    every third round: a -1e-13 component, which the check clamps."""
-
-    def split(self, t, actions, loss_value):
-        comps = super().split(t, actions, loss_value)
-        if t % 3:
-            return comps
-        s = t % (self.delay_span - 1)
-        return comps[:s] + (-1e-13,) + comps[s + 1:-1] + (comps[-1] + 1e-13,)
-
-
-#: widths of the delay put in a pairing's place: the seeded dense split at
-#: d = 1 and 2 reaches the engine's own d <= 2 accept, and the clamped
-#: last-slot split at d = 2 mixes it with rounds it refuses
+#: widths of the delay put in a pairing's place: the seeded dense split
+#: reaches the engine's own accept, and the clamped last-slot split mixes
+#: it with rounds it refuses
 REPLACEMENT_WIDTHS = {"seeded": (1, 2, 3, 32), "clamped": (2, 3, 32)}
 
 
@@ -1351,7 +1340,7 @@ def _play(engine, spec, delay_kind, d, horizon, seed):
     if delay_kind == "seeded":
         delay = adv.SeededSplitDelay(d, horizon, seed)
     elif delay_kind == "clamped":
-        delay = ClampedLastSlotDelay(d)
+        delay = util.ClampedLastSlotDelay(d)
     tr = engine(config, learner, loss, delay)
     state = getattr(getattr(learner, "inner", learner), "cum_loss_est", ())
     hexes = lambda xs: [float(x).hex() for x in xs]
@@ -1499,6 +1488,17 @@ def test_run_game_matches_the_reference_engine_on_injected_junk(item, d, slot):
     # long enough for every slot of the injected round to surface
     game = (INJECTED_ROUND + d, adv.ConstantLoss(0.5), InjectingDelay(d, slot, item))
     assert _run_outcome(core.run_game, *game) == _run_outcome(util.reference_run_game, *game)
+
+
+@pytest.mark.parametrize("d", [2, 3, 32])
+def test_run_game_matches_the_reference_engine_on_negative_zeros(d):
+    # round 1 leaves a -0.0 due in round 2, whose own component 0 is -0.0:
+    # the buffer stores it as +0.0, so round 2 observes -0.0 + 0.0 = +0.0
+    first, rest = (0.5,) + (-0.0,) * (d - 1), (-0.0,) * (d - 1) + (0.5,)
+    game = (d + 2, adv.ConstantLoss(0.5), Forged(d, lambda t, lv: first if t == 1 else rest))
+    outcome = _run_outcome(core.run_game, *game)
+    assert outcome == _run_outcome(util.reference_run_game, *game)
+    assert outcome[1][1] == ("float", "0x0.0p+0")
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 5])

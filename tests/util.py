@@ -12,6 +12,7 @@ import math
 import numpy as np
 from scipy.stats import norm
 
+from delaybandits.adversaries import LastSlotDelay
 from delaybandits.core import (SPLIT_ATOL, ActionError, LossRangeError, LossSplit,
                                SimulationError, SplitError, Transcript, check_int)
 
@@ -163,6 +164,19 @@ def reference_run_game(config, learner, loss_adversary, delay_adversary):
                       f"{type(loss_adversary).__name__}+{type(delay_adversary).__name__})") from e
     return Transcript(config, tuple(actions), tuple(losses), tuple(observed), d,
                       [c for row in rows for c in row])
+
+
+class ClampedLastSlotDelay(LastSlotDelay):
+    """The last-slot split, with 1e-13 of the loss moved out of a zero slot
+    every third round: a -1e-13 component, which the split check clamps
+    and the engine's own fast accept refuses."""
+
+    def split(self, t, actions, loss_value):
+        comps = super().split(t, actions, loss_value)
+        if t % 3:
+            return comps
+        s = t % (self.delay_span - 1)
+        return comps[:s] + (-1e-13,) + comps[s + 1:-1] + (comps[-1] + 1e-13,)
 
 
 def swap_and_restore_regret(loss_adversary, actions, comparators):
